@@ -135,3 +135,50 @@ uint64_t gprof::opcodeCycleCost(Opcode Op) {
     return 1;
   }
 }
+
+DecodedInstruction gprof::decodeInstruction(const uint8_t *Code, size_t Limit,
+                                            size_t Offset) {
+  assert(Offset < Limit && "decoding outside the code bytes");
+  DecodedInstruction I;
+  if (Code[Offset] >= static_cast<uint8_t>(Opcode::NumOpcodes))
+    return I;
+  I.Op = static_cast<Opcode>(Code[Offset]);
+  I.Size = static_cast<uint8_t>(instructionSize(I.Op));
+  if (I.Size > Limit - Offset) {
+    I.Status = DecodedInstruction::Truncated;
+    return I;
+  }
+  I.Status = DecodedInstruction::Valid;
+  const uint8_t *P = Code + Offset + 1;
+  auto Read = [P](unsigned Bytes) {
+    uint64_t V = 0;
+    for (unsigned B = 0; B != Bytes; ++B)
+      V |= static_cast<uint64_t>(P[B]) << (8 * B);
+    return V;
+  };
+  switch (I.Op) {
+  case Opcode::Push:
+  case Opcode::PushFunc:
+  case Opcode::Jump:
+  case Opcode::JumpIfZero:
+  case Opcode::JumpIfNonZero:
+    I.Operand = Read(8);
+    break;
+  case Opcode::LoadLocal:
+  case Opcode::StoreLocal:
+  case Opcode::LoadGlobal:
+  case Opcode::StoreGlobal:
+    I.Operand = Read(2);
+    break;
+  case Opcode::Call:
+    I.Operand = Read(8);
+    I.Argc = P[8];
+    break;
+  case Opcode::CallIndirect:
+    I.Argc = P[0];
+    break;
+  default:
+    break;
+  }
+  return I;
+}

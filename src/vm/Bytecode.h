@@ -23,6 +23,7 @@
 #ifndef GPROF_VM_BYTECODE_H
 #define GPROF_VM_BYTECODE_H
 
+#include <cstddef>
 #include <cstdint>
 
 namespace gprof {
@@ -73,6 +74,31 @@ unsigned instructionSize(Opcode Op);
 
 /// Returns the virtual cycle cost of executing \p Op once.
 uint64_t opcodeCycleCost(Opcode Op);
+
+/// One instruction decoded from a code segment.
+struct DecodedInstruction {
+  enum Kind : uint8_t {
+    Valid,     ///< Op, Size and the operands are set.
+    Illegal,   ///< The byte is not an opcode.
+    Truncated, ///< Op is set, but its operands run past the decode limit.
+  };
+  Kind Status = Illegal;
+  Opcode Op = Opcode::Halt;
+  /// Encoded size: instructionSize(Op), or 1 for an illegal byte.
+  uint8_t Size = 1;
+  /// Argument count of Call and CallIndirect.
+  uint8_t Argc = 0;
+  /// Push's immediate (two's complement), the address operand of PushFunc,
+  /// the jumps and Call, or the u16 slot / global index.
+  uint64_t Operand = 0;
+};
+
+/// Decodes the instruction at \p Offset of the code bytes [Code, Code +
+/// Limit), reading no byte at or past \p Limit.  The VM, the disassembler
+/// and the static scanner all decode through this one function, so they
+/// agree on what is an illegal or truncated instruction.
+DecodedInstruction decodeInstruction(const uint8_t *Code, size_t Limit,
+                                     size_t Offset);
 
 } // namespace gprof
 

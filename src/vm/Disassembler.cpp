@@ -13,18 +13,9 @@ using namespace gprof;
 
 namespace {
 
-uint16_t decodeU16(const Image &Img, Address Pc) {
-  size_t Off = static_cast<size_t>(Pc - Image::BaseAddr);
-  return static_cast<uint16_t>(Img.Code[Off]) |
-         static_cast<uint16_t>(Img.Code[Off + 1]) << 8;
-}
-
-uint64_t decodeU64(const Image &Img, Address Pc) {
-  size_t Off = static_cast<size_t>(Pc - Image::BaseAddr);
-  uint64_t V = 0;
-  for (unsigned I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(Img.Code[Off + I]) << (8 * I);
-  return V;
+DecodedInstruction decodeAt(const Image &Img, Address Pc) {
+  return decodeInstruction(Img.Code.data(), Img.Code.size(),
+                           static_cast<size_t>(Pc - Image::BaseAddr));
 }
 
 std::string targetName(const Image &Img, Address Target) {
@@ -33,52 +24,52 @@ std::string targetName(const Image &Img, Address Target) {
   return format("0x%llx", static_cast<unsigned long long>(Target));
 }
 
-} // namespace
-
-std::string gprof::disassembleInstruction(const Image &Img, Address Pc) {
-  Opcode Op = static_cast<Opcode>(Img.byteAt(Pc));
-  if (Op >= Opcode::NumOpcodes)
+std::string render(const Image &Img, Address Pc, const DecodedInstruction &I) {
+  if (I.Status == DecodedInstruction::Illegal)
     return format("0x%06llx: <illegal opcode %u>",
                   static_cast<unsigned long long>(Pc), Img.byteAt(Pc));
 
   std::string Line =
       format("0x%06llx: %-10s ", static_cast<unsigned long long>(Pc),
-             opcodeName(Op));
-  switch (Op) {
+             opcodeName(I.Op));
+  if (I.Status == DecodedInstruction::Truncated)
+    return Line + "<truncated at end of code segment>";
+  switch (I.Op) {
   case Opcode::Push:
-    Line += format("%lld",
-                   static_cast<long long>(decodeU64(Img, Pc + 1)));
+    Line += format("%lld", static_cast<long long>(I.Operand));
     break;
   case Opcode::PushFunc:
-    Line += targetName(Img, decodeU64(Img, Pc + 1));
+    Line += targetName(Img, I.Operand);
     break;
   case Opcode::LoadLocal:
   case Opcode::StoreLocal:
-    Line += format("slot %u", decodeU16(Img, Pc + 1));
+    Line += format("slot %u", static_cast<unsigned>(I.Operand));
     break;
   case Opcode::LoadGlobal:
   case Opcode::StoreGlobal:
-    Line += format("global %u", decodeU16(Img, Pc + 1));
+    Line += format("global %u", static_cast<unsigned>(I.Operand));
     break;
   case Opcode::Jump:
   case Opcode::JumpIfZero:
   case Opcode::JumpIfNonZero:
-    Line += format("0x%llx",
-                   static_cast<unsigned long long>(decodeU64(Img, Pc + 1)));
+    Line += format("0x%llx", static_cast<unsigned long long>(I.Operand));
     break;
-  case Opcode::Call: {
-    Address Target = decodeU64(Img, Pc + 1);
-    uint8_t Argc = Img.byteAt(Pc + 9);
-    Line += format("%s, %u args", targetName(Img, Target).c_str(), Argc);
+  case Opcode::Call:
+    Line += format("%s, %u args", targetName(Img, I.Operand).c_str(), I.Argc);
     break;
-  }
   case Opcode::CallIndirect:
-    Line += format("%u args", Img.byteAt(Pc + 1));
+    Line += format("%u args", I.Argc);
     break;
   default:
     break;
   }
   return Line;
+}
+
+} // namespace
+
+std::string gprof::disassembleInstruction(const Image &Img, Address Pc) {
+  return render(Img, Pc, decodeAt(Img, Pc));
 }
 
 std::string gprof::disassemble(const Image &Img) {
@@ -90,11 +81,11 @@ std::string gprof::disassemble(const Image &Img) {
     Address Pc = F.Addr;
     Address End = F.Addr + F.CodeSize;
     while (Pc < End) {
-      Opcode Op = static_cast<Opcode>(Img.byteAt(Pc));
-      Out += "  " + disassembleInstruction(Img, Pc) + "\n";
-      if (Op >= Opcode::NumOpcodes)
+      DecodedInstruction I = decodeAt(Img, Pc);
+      Out += "  " + render(Img, Pc, I) + "\n";
+      if (I.Status != DecodedInstruction::Valid)
         break;
-      Pc += instructionSize(Op);
+      Pc += I.Size;
     }
   }
   return Out;

@@ -15,30 +15,21 @@ using namespace gprof;
 StaticScanResult gprof::scanStaticCalls(const Image &Img) {
   StaticScanResult Result;
   for (const FuncInfo &F : Img.Functions) {
-    Address Pc = F.Addr;
-    const Address End = F.Addr + F.CodeSize;
-    while (Pc < End) {
-      Opcode Op = static_cast<Opcode>(Img.byteAt(Pc));
-      if (Op >= Opcode::NumOpcodes)
-        break; // Corrupt code; symbol boundaries keep the scan sane.
-      unsigned Size = instructionSize(Op);
-      if (Pc + Size > End)
+    // Symbol boundaries keep the scan sane: decoding stops at the end of
+    // the function, and at the first corrupt or truncated instruction.
+    const size_t Begin = static_cast<size_t>(F.Addr - Image::BaseAddr);
+    const size_t End = std::min<size_t>(Begin + F.CodeSize, Img.Code.size());
+    for (size_t Off = Begin; Off < End;) {
+      DecodedInstruction I = decodeInstruction(Img.Code.data(), End, Off);
+      if (I.Status != DecodedInstruction::Valid)
         break;
-
-      if (Op == Opcode::Call) {
-        uint64_t Target = 0;
-        for (unsigned I = 0; I != 8; ++I)
-          Target |= static_cast<uint64_t>(Img.byteAt(Pc + 1 + I)) << (8 * I);
-        Result.DirectCalls.push_back({Pc, Target});
-      } else if (Op == Opcode::PushFunc) {
-        uint64_t Target = 0;
-        for (unsigned I = 0; I != 8; ++I)
-          Target |= static_cast<uint64_t>(Img.byteAt(Pc + 1 + I)) << (8 * I);
-        Result.AddressTaken.push_back(Target);
-      } else if (Op == Opcode::CallIndirect) {
-        Result.IndirectCallSites.push_back(Pc);
-      }
-      Pc += Size;
+      if (I.Op == Opcode::Call)
+        Result.DirectCalls.push_back({Image::BaseAddr + Off, I.Operand});
+      else if (I.Op == Opcode::PushFunc)
+        Result.AddressTaken.push_back(I.Operand);
+      else if (I.Op == Opcode::CallIndirect)
+        Result.IndirectCallSites.push_back(Image::BaseAddr + Off);
+      Off += I.Size;
     }
   }
   // Deduplicate the address-taken set.

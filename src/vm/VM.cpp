@@ -9,6 +9,8 @@
 #include "support/Format.h"
 #include "vm/Bytecode.h"
 
+#include <algorithm>
+
 using namespace gprof;
 
 ProfileHooks::~ProfileHooks() = default;
@@ -17,17 +19,80 @@ void ProfileHooks::onTickStack(const std::vector<Address> &, Address) {}
 
 void ProfileHooks::onReturn(Address) {}
 
-VM::VM(const Image &Img, VMOptions Opts) : Img(Img), Opts(Opts) {
+namespace {
+
+/// Decoded-table markers for offsets that hold no executable instruction;
+/// both lie past the last opcode.
+constexpr uint8_t IllegalMarker = static_cast<uint8_t>(Opcode::NumOpcodes);
+constexpr uint8_t TruncatedMarker = IllegalMarker + 1;
+
+/// Initial operand stack and local slot capacity; both grow on demand.
+constexpr size_t InitialStackWords = 256;
+
+} // namespace
+
+VM::VM(const Image &Img, VMOptions Opts)
+    : Img(Img), Opts(Opts), Stack(InitialStackWords),
+      Locals(InitialStackWords), Code(Img.Code.size()),
+      EntryAt(Img.Code.size()) {
   resetGlobals();
   resetMemory();
   NextTickAt = Opts.CyclesPerTick;
+
+  // Only a function's entry offset can resolve, but a duplicate-address
+  // or zero-size function must resolve as findFunctionAt says.
+  const size_t N = Img.Code.size();
+  for (const FuncInfo &F : Img.Functions)
+    if (F.Addr - Image::BaseAddr < N)
+      EntryAt[F.Addr - Image::BaseAddr] = Img.findFunctionAt(F.Addr);
+
+  for (size_t Off = 0; Off != N; ++Off) {
+    DecodedInstruction I = decodeInstruction(Img.Code.data(), N, Off);
+    Decoded &D = Code[Off];
+    if (I.Status != DecodedInstruction::Valid) {
+      D.Op = I.Status == DecodedInstruction::Illegal ? IllegalMarker
+                                                     : TruncatedMarker;
+      continue;
+    }
+    D.Op = static_cast<uint8_t>(I.Op);
+    D.Size = I.Size;
+    D.Cost = static_cast<uint8_t>(opcodeCycleCost(I.Op));
+    D.Argc = I.Argc;
+    switch (I.Op) {
+    case Opcode::Jump:
+    case Opcode::JumpIfZero:
+    case Opcode::JumpIfNonZero:
+      D.Operand = I.Operand - Image::BaseAddr;
+      break;
+    case Opcode::Call: {
+      // A direct call's callee is fixed, so every check that depends only
+      // on it is made here; a call failing one keeps a null callee and
+      // re-derives its trap message when executed.
+      const FuncInfo *F = functionAt(I.Operand);
+      D.Callee = F && F->NumParams == I.Argc && F->NumSlots >= I.Argc
+                     ? F
+                     : nullptr;
+      break;
+    }
+    default:
+      D.Operand = I.Operand;
+      break;
+    }
+  }
+}
+
+const FuncInfo *VM::functionAt(Address Pc) const {
+  const uint64_t Off = Pc - Image::BaseAddr;
+  return Off < EntryAt.size() ? EntryAt[Off] : Img.findFunctionAt(Pc);
 }
 
 void VM::resetGlobals() { Globals = Img.GlobalInits; }
 
 void VM::resetMemory() { Memory.assign(Opts.MemoryWords, 0); }
 
-Error VM::trap(Address Pc, const std::string &Message) const {
+Error VM::trap(uint64_t Offset, uint64_t Clock, const std::string &Message) {
+  Cycles = Clock;
+  const Address Pc = Image::BaseAddr + Offset;
   const FuncInfo *F = Img.findFunctionContaining(Pc);
   std::string Where = F ? F->Name : "<outside code segment>";
   return Error::failure(format("runtime error at pc 0x%llx (in %s): %s",
@@ -35,22 +100,21 @@ Error VM::trap(Address Pc, const std::string &Message) const {
                                Where.c_str(), Message.c_str()));
 }
 
-uint16_t VM::readU16(Address Pc) const {
-  size_t Off = static_cast<size_t>(Pc - Image::BaseAddr);
-  return static_cast<uint16_t>(Img.Code[Off]) |
-         static_cast<uint16_t>(Img.Code[Off + 1]) << 8;
-}
-
-uint64_t VM::readU64(Address Pc) const {
-  size_t Off = static_cast<size_t>(Pc - Image::BaseAddr);
-  uint64_t V = 0;
-  for (unsigned I = 0; I != 8; ++I)
-    V |= static_cast<uint64_t>(Img.Code[Off + I]) << (8 * I);
-  return V;
-}
-
-int64_t VM::readI64(Address Pc) const {
-  return static_cast<int64_t>(readU64(Pc));
+Error VM::badCall(uint64_t Offset, uint64_t Clock, Address Target,
+                  unsigned Argc) {
+  const FuncInfo *Callee = Img.findFunctionAt(Target);
+  if (!Callee)
+    return trap(Offset, Clock,
+                format("call through invalid function value 0x%llx",
+                       static_cast<unsigned long long>(Target)));
+  if (Callee->NumParams != Argc)
+    return trap(Offset, Clock,
+                format("call to '%s' with %u arguments; it takes %u",
+                       Callee->Name.c_str(), Argc, Callee->NumParams));
+  return trap(Offset, Clock,
+              format("call to '%s' whose frame declares %u slots for "
+                     "%u parameters",
+                     Callee->Name.c_str(), Callee->NumSlots, Argc));
 }
 
 void VM::deliverTick(Address Pc) {
@@ -63,6 +127,14 @@ void VM::deliverTick(Address Pc) {
   for (const Frame &F : Frames)
     StackScratch.push_back(F.Func->Addr);
   Hooks->onTickStack(StackScratch, Pc);
+}
+
+void VM::deliverDueTicks(Address Pc) {
+  while (Cycles >= NextTickAt) {
+    deliverTick(Pc);
+    NextTickAt += Opts.CyclesPerTick;
+    ++Ticks;
+  }
 }
 
 Expected<RunResult> VM::run() {
@@ -87,16 +159,14 @@ Expected<RunResult> VM::call(const std::string &Name,
 
 Expected<RunResult> VM::execute(const FuncInfo &Entry,
                                 const std::vector<int64_t> &Args) {
-  RunResult Result;
-  uint64_t StartCycles = Cycles;
-  // Set by Ret for a profiled function; fired after that instruction's
-  // ticks are delivered (see the Ret case).
-  const FuncInfo *PendingReturn = nullptr;
-  uint64_t StartTicks = Ticks;
+  // A zero tick interval would deliver ticks forever on the first
+  // instruction.
+  if (Opts.CyclesPerTick == 0)
+    return Error::failure("VMOptions::CyclesPerTick must be at least 1");
 
-  Stack.clear();
-  Locals.clear();
-  Frames.clear();
+  RunResult Result;
+  const uint64_t StartCycles = Cycles;
+  const uint64_t StartTicks = Ticks;
 
   // Synthetic outermost frame: the return address 0 lies outside the code
   // segment, so the entry function's incoming arc symbolizes to no caller
@@ -104,93 +174,111 @@ Expected<RunResult> VM::execute(const FuncInfo &Entry,
   // A corrupt image can declare fewer frame slots than parameters; the
   // argument copy below must not write past the frame.
   if (Entry.NumSlots < Args.size())
-    return trap(Entry.Addr,
+    return trap(Entry.Addr - Image::BaseAddr, Cycles,
                 format("entry '%s' declares %u frame slots for %zu arguments",
                        Entry.Name.c_str(), Entry.NumSlots, Args.size()));
+  Frames.clear();
   Frames.push_back({/*ReturnAddr=*/0, /*LocalBase=*/0, /*StackBase=*/0,
                     &Entry});
-  Locals.resize(Entry.NumSlots, 0);
-  for (size_t I = 0; I != Args.size(); ++I)
-    Locals[I] = Args[I];
+  if (Locals.size() < Entry.NumSlots)
+    Locals.resize(Entry.NumSlots);
+  std::fill_n(Locals.begin(), Entry.NumSlots, 0);
+  std::copy(Args.begin(), Args.end(), Locals.begin());
 
-  Address Pc = Entry.Addr;
-  const Address LowPc = Img.lowPc();
-  const Address HighPc = Img.highPc();
+  // The hot state lives in locals.  The operand stack and the locals are
+  // private to this function; the clock is written back to Cycles before
+  // every hook, tick and trap, since those are where it can be observed.
+  const Decoded *const Table = Code.data();
+  const uint64_t CodeSize = Code.size();
+  int64_t *const G = Globals.data();
+  const size_t NumGlobals = Globals.size();
+  int64_t *const Mem = Memory.data();
+  const size_t MemWords = Memory.size();
+
+  int64_t *S = Stack.data();
+  size_t StackCap = Stack.size();
+  size_t Sp = 0; // operand stack depth
+  size_t LocalBase = 0;
+  size_t LocalTop = Entry.NumSlots; // end of the current frame's slots
+  int64_t *L = Locals.data();       // the current frame's slot 0
+  uint64_t Clock = Cycles;
+  uint64_t Instructions = 0;
+  uint64_t Off = Entry.Addr - Image::BaseAddr;
+
+  // One compare per instruction covers both the next tick and the cycle
+  // limit; the limit is "Clock - StartCycles > MaxCycles", so a MaxCycles
+  // too large to add to StartCycles means there is none.
+  const uint64_t LimitAt =
+      Opts.MaxCycles >= UINT64_MAX - StartCycles
+          ? UINT64_MAX
+          : StartCycles + Opts.MaxCycles + 1;
+  uint64_t Wake = std::min(NextTickAt, LimitAt);
+
+  auto Push = [&](int64_t V) {
+    if (Sp == StackCap) [[unlikely]] {
+      Stack.resize(2 * StackCap);
+      S = Stack.data();
+      StackCap = Stack.size();
+    }
+    S[Sp++] = V;
+  };
 
   while (true) {
-    if (Pc < LowPc || Pc >= HighPc)
-      return trap(Pc, "program counter left the code segment");
+    if (Off >= CodeSize)
+      return trap(Off, Clock, "program counter left the code segment");
 
-    const Address InsnPc = Pc;
-    const Opcode Op = static_cast<Opcode>(Img.byteAt(Pc));
-    if (Op >= Opcode::NumOpcodes)
-      return trap(Pc, format("illegal opcode %u",
-                             static_cast<unsigned>(Img.byteAt(Pc))));
+    const Decoded &D = Table[Off];
+    uint64_t Next = Off + D.Size;
+    ++Instructions;
 
-    const unsigned Size = instructionSize(Op);
-    if (InsnPc + Size > HighPc)
-      return trap(Pc, "truncated instruction at end of code segment");
-    Pc += Size;
-    ++Result.Instructions;
-
-    switch (Op) {
+    switch (static_cast<Opcode>(D.Op)) {
     case Opcode::Halt:
-      return trap(InsnPc, "executed halt sentinel");
+      return trap(Off, Clock, "executed halt sentinel");
 
     case Opcode::Push:
-      Stack.push_back(readI64(InsnPc + 1));
-      break;
-
     case Opcode::PushFunc:
-      Stack.push_back(static_cast<int64_t>(readU64(InsnPc + 1)));
+      Push(static_cast<int64_t>(D.Operand));
       break;
 
     case Opcode::Pop:
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Stack.pop_back();
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      --Sp;
       break;
 
     case Opcode::Dup:
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Stack.push_back(Stack.back());
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      Push(S[Sp - 1]);
       break;
 
-    case Opcode::LoadLocal: {
-      uint16_t Slot = readU16(InsnPc + 1);
-      if (Frames.back().LocalBase + Slot >= Locals.size())
-        return trap(InsnPc, "local slot out of range");
-      Stack.push_back(Locals[Frames.back().LocalBase + Slot]);
+    case Opcode::LoadLocal:
+      if (D.Operand >= LocalTop - LocalBase)
+        return trap(Off, Clock, "local slot out of range");
+      Push(L[D.Operand]);
       break;
-    }
-    case Opcode::StoreLocal: {
-      uint16_t Slot = readU16(InsnPc + 1);
-      if (Frames.back().LocalBase + Slot >= Locals.size())
-        return trap(InsnPc, "local slot out of range");
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Locals[Frames.back().LocalBase + Slot] = Stack.back();
-      Stack.pop_back();
+
+    case Opcode::StoreLocal:
+      if (D.Operand >= LocalTop - LocalBase)
+        return trap(Off, Clock, "local slot out of range");
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      L[D.Operand] = S[--Sp];
       break;
-    }
-    case Opcode::LoadGlobal: {
-      uint16_t Idx = readU16(InsnPc + 1);
-      if (Idx >= Globals.size())
-        return trap(InsnPc, "global index out of range");
-      Stack.push_back(Globals[Idx]);
+
+    case Opcode::LoadGlobal:
+      if (D.Operand >= NumGlobals)
+        return trap(Off, Clock, "global index out of range");
+      Push(G[D.Operand]);
       break;
-    }
-    case Opcode::StoreGlobal: {
-      uint16_t Idx = readU16(InsnPc + 1);
-      if (Idx >= Globals.size())
-        return trap(InsnPc, "global index out of range");
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Globals[Idx] = Stack.back();
-      Stack.pop_back();
+
+    case Opcode::StoreGlobal:
+      if (D.Operand >= NumGlobals)
+        return trap(Off, Clock, "global index out of range");
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      G[D.Operand] = S[--Sp];
       break;
-    }
 
     case Opcode::Add:
     case Opcode::Sub:
@@ -203,243 +291,225 @@ Expected<RunResult> VM::execute(const FuncInfo &Entry,
     case Opcode::CmpLe:
     case Opcode::CmpGt:
     case Opcode::CmpGe: {
-      if (Stack.size() < 2)
-        return trap(InsnPc, "operand stack underflow");
-      int64_t RHS = Stack.back();
-      Stack.pop_back();
-      int64_t LHS = Stack.back();
-      int64_t R = 0;
-      switch (Op) {
+      if (Sp < 2)
+        return trap(Off, Clock, "operand stack underflow");
+      const int64_t RHS = S[--Sp];
+      int64_t &LHS = S[Sp - 1];
+      const uint64_t A = static_cast<uint64_t>(LHS);
+      const uint64_t B = static_cast<uint64_t>(RHS);
+      switch (static_cast<Opcode>(D.Op)) {
       case Opcode::Add:
-        R = static_cast<int64_t>(static_cast<uint64_t>(LHS) +
-                                 static_cast<uint64_t>(RHS));
+        LHS = static_cast<int64_t>(A + B);
         break;
       case Opcode::Sub:
-        R = static_cast<int64_t>(static_cast<uint64_t>(LHS) -
-                                 static_cast<uint64_t>(RHS));
+        LHS = static_cast<int64_t>(A - B);
         break;
       case Opcode::Mul:
-        R = static_cast<int64_t>(static_cast<uint64_t>(LHS) *
-                                 static_cast<uint64_t>(RHS));
+        LHS = static_cast<int64_t>(A * B);
         break;
       case Opcode::Div:
         if (RHS == 0)
-          return trap(InsnPc, "division by zero");
+          return trap(Off, Clock, "division by zero");
         if (LHS == INT64_MIN && RHS == -1)
-          return trap(InsnPc, "integer overflow in division");
-        R = LHS / RHS;
+          return trap(Off, Clock, "integer overflow in division");
+        LHS /= RHS;
         break;
       case Opcode::Mod:
         if (RHS == 0)
-          return trap(InsnPc, "division by zero");
+          return trap(Off, Clock, "division by zero");
         if (LHS == INT64_MIN && RHS == -1)
-          return trap(InsnPc, "integer overflow in remainder");
-        R = LHS % RHS;
+          return trap(Off, Clock, "integer overflow in remainder");
+        LHS %= RHS;
         break;
       case Opcode::CmpEq:
-        R = LHS == RHS;
+        LHS = LHS == RHS;
         break;
       case Opcode::CmpNe:
-        R = LHS != RHS;
+        LHS = LHS != RHS;
         break;
       case Opcode::CmpLt:
-        R = LHS < RHS;
+        LHS = LHS < RHS;
         break;
       case Opcode::CmpLe:
-        R = LHS <= RHS;
+        LHS = LHS <= RHS;
         break;
       case Opcode::CmpGt:
-        R = LHS > RHS;
+        LHS = LHS > RHS;
         break;
-      case Opcode::CmpGe:
-        R = LHS >= RHS;
-        break;
-      default:
+      default: // CmpGe
+        LHS = LHS >= RHS;
         break;
       }
-      Stack.back() = R;
       break;
     }
 
     case Opcode::Neg:
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Stack.back() = static_cast<int64_t>(-static_cast<uint64_t>(Stack.back()));
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      S[Sp - 1] = static_cast<int64_t>(-static_cast<uint64_t>(S[Sp - 1]));
       break;
 
     case Opcode::Not:
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Stack.back() = Stack.back() == 0;
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      S[Sp - 1] = S[Sp - 1] == 0;
       break;
 
     case Opcode::Jump:
-      Pc = readU64(InsnPc + 1);
+      Next = D.Operand;
       break;
 
-    case Opcode::JumpIfZero: {
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      int64_t V = Stack.back();
-      Stack.pop_back();
-      if (V == 0)
-        Pc = readU64(InsnPc + 1);
+    case Opcode::JumpIfZero:
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      if (S[--Sp] == 0)
+        Next = D.Operand;
       break;
-    }
-    case Opcode::JumpIfNonZero: {
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      int64_t V = Stack.back();
-      Stack.pop_back();
-      if (V != 0)
-        Pc = readU64(InsnPc + 1);
+
+    case Opcode::JumpIfNonZero:
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      if (S[--Sp] != 0)
+        Next = D.Operand;
       break;
-    }
 
     case Opcode::Call:
     case Opcode::CallIndirect: {
-      Address Target;
-      uint8_t Argc;
-      if (Op == Opcode::Call) {
-        Target = readU64(InsnPc + 1);
-        Argc = Img.Code[static_cast<size_t>(InsnPc + 9 - Image::BaseAddr)];
+      const unsigned Argc = D.Argc;
+      const FuncInfo *Callee;
+      if (D.Op == static_cast<uint8_t>(Opcode::Call)) {
+        Callee = D.Callee;
+        if (!Callee) {
+          // The table keeps no target for a call that can only trap.
+          const Address Target =
+              decodeInstruction(Img.Code.data(), CodeSize, Off).Operand;
+          return badCall(Off, Clock, Target, Argc);
+        }
       } else {
-        Argc = Img.Code[static_cast<size_t>(InsnPc + 1 - Image::BaseAddr)];
-        if (Stack.empty())
-          return trap(InsnPc, "operand stack underflow");
-        Target = static_cast<Address>(
-            static_cast<uint64_t>(Stack.back()));
-        Stack.pop_back();
+        if (Sp == 0)
+          return trap(Off, Clock, "operand stack underflow");
+        const Address Target = static_cast<Address>(S[--Sp]);
+        Callee = functionAt(Target);
+        if (!Callee || Callee->NumParams != Argc || Callee->NumSlots < Argc)
+          return badCall(Off, Clock, Target, Argc);
       }
-
-      const FuncInfo *Callee = Img.findFunctionAt(Target);
-      if (!Callee)
-        return trap(InsnPc,
-                    format("call through invalid function value 0x%llx",
-                           static_cast<unsigned long long>(Target)));
-      if (Callee->NumParams != Argc)
-        return trap(InsnPc,
-                    format("call to '%s' with %u arguments; it takes %u",
-                           Callee->Name.c_str(), Argc, Callee->NumParams));
-      if (Callee->NumSlots < Argc)
-        return trap(InsnPc,
-                    format("call to '%s' whose frame declares %u slots for "
-                           "%u parameters",
-                           Callee->Name.c_str(), Callee->NumSlots, Argc));
       if (Frames.size() >= Opts.MaxCallDepth)
-        return trap(InsnPc, "call stack overflow");
+        return trap(Off, Clock, "call stack overflow");
+      if (Sp < Argc)
+        return trap(Off, Clock, "operand stack underflow");
 
-      if (Stack.size() < Argc)
-        return trap(InsnPc, "operand stack underflow");
-      size_t LocalBase = Locals.size();
-      Locals.resize(LocalBase + Callee->NumSlots, 0);
-      for (unsigned I = 0; I != Argc; ++I)
-        Locals[LocalBase + I] = Stack[Stack.size() - Argc + I];
-      Stack.resize(Stack.size() - Argc);
-
-      Frames.push_back({Pc, LocalBase, Stack.size(), Callee});
-      Pc = Callee->Addr;
+      const size_t NewTop = LocalTop + Callee->NumSlots;
+      if (NewTop > Locals.size())
+        Locals.resize(std::max(NewTop, 2 * Locals.size()));
+      L = Locals.data() + LocalTop;
+      Sp -= Argc;
+      std::copy_n(S + Sp, Argc, L);
+      std::fill(L + Argc, L + Callee->NumSlots, 0);
+      Frames.push_back({Image::BaseAddr + Next, LocalTop, Sp, Callee});
+      LocalBase = LocalTop;
+      LocalTop = NewTop;
+      Next = Callee->Addr - Image::BaseAddr;
       break;
     }
 
     case Opcode::Ret: {
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      int64_t Value = Stack.back();
-      Stack.pop_back();
-      Frame F = Frames.back();
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      const int64_t Value = S[--Sp];
+      const Frame F = Frames.back();
       Frames.pop_back();
-      Locals.resize(F.LocalBase);
-      Stack.resize(F.StackBase);
-      // Defer the return notification until the ticks elapsed on this ret
-      // instruction are delivered (after the switch): a sample landing
-      // here belongs to the returning routine, not its caller.
+      LocalTop = F.LocalBase;
+      // A callee that popped below its frame's stack base leaves the
+      // caller's stack refilled with zeros up to that base.
+      if (Sp < F.StackBase)
+        std::fill(S + Sp, S + F.StackBase, 0);
+      Sp = F.StackBase;
+      // The returning routine owns the ticks elapsed on its ret: they are
+      // delivered before its return notification.
+      Clock += D.Cost;
+      Cycles = Clock;
+      deliverDueTicks(Image::BaseAddr + Off);
       if (Hooks && F.Func->Profiled)
-        PendingReturn = F.Func;
+        Hooks->onReturn(F.Func->Addr);
       if (Frames.empty()) {
-        // The entry function returned: account this instruction's cycles
-        // and finish.
-        Cycles += opcodeCycleCost(Op);
-        while (Cycles >= NextTickAt) {
-          deliverTick(InsnPc);
-          NextTickAt += Opts.CyclesPerTick;
-          ++Ticks;
-        }
-        if (PendingReturn)
-          Hooks->onReturn(PendingReturn->Addr);
+        // The entry function returned.
         Result.ExitValue = Value;
-        Result.Cycles = Cycles - StartCycles;
+        Result.Cycles = Clock - StartCycles;
+        Result.Instructions = Instructions;
         Result.Ticks = Ticks - StartTicks;
         return Result;
       }
-      Stack.push_back(Value);
-      Pc = F.ReturnAddr;
-      break;
+      Push(Value);
+      LocalBase = Frames.back().LocalBase;
+      L = Locals.data() + LocalBase;
+      if (Clock - StartCycles > Opts.MaxCycles)
+        return trap(Off, Clock, "cycle limit exceeded");
+      Wake = std::min(NextTickAt, LimitAt);
+      Off = F.ReturnAddr - Image::BaseAddr;
+      continue;
     }
 
-    case Opcode::Print: {
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      Result.Printed.push_back(Stack.back());
-      Stack.pop_back();
+    case Opcode::Print:
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      Result.Printed.push_back(S[--Sp]);
       break;
-    }
 
-    case Opcode::Mcount: {
+    case Opcode::Mcount:
       // The monitoring call inserted in the prologue: report the arc from
       // the caller's call site to this function's entry (paper §3.1).
-      const Frame &F = Frames.back();
-      if (Hooks)
-        Hooks->onCall(F.ReturnAddr, F.Func->Addr);
+      if (Hooks) {
+        Cycles = Clock;
+        Hooks->onCall(Frames.back().ReturnAddr, Frames.back().Func->Addr);
+      }
       break;
-    }
 
     case Opcode::MemLoad: {
-      if (Stack.empty())
-        return trap(InsnPc, "operand stack underflow");
-      uint64_t Addr = static_cast<uint64_t>(Stack.back());
-      if (Addr >= Memory.size())
-        return trap(InsnPc,
+      if (Sp == 0)
+        return trap(Off, Clock, "operand stack underflow");
+      const uint64_t Addr = static_cast<uint64_t>(S[Sp - 1]);
+      if (Addr >= MemWords)
+        return trap(Off, Clock,
                     format("memory address %lld out of range [0, %zu)",
-                           static_cast<long long>(Stack.back()),
-                           Memory.size()));
-      Stack.back() = Memory[static_cast<size_t>(Addr)];
+                           static_cast<long long>(S[Sp - 1]), MemWords));
+      S[Sp - 1] = Mem[Addr];
       break;
     }
 
     case Opcode::MemStore: {
-      if (Stack.size() < 2)
-        return trap(InsnPc, "operand stack underflow");
-      int64_t Value = Stack.back();
-      Stack.pop_back();
-      uint64_t Addr = static_cast<uint64_t>(Stack.back());
-      if (Addr >= Memory.size())
-        return trap(InsnPc,
+      if (Sp < 2)
+        return trap(Off, Clock, "operand stack underflow");
+      const int64_t Value = S[--Sp];
+      const uint64_t Addr = static_cast<uint64_t>(S[Sp - 1]);
+      if (Addr >= MemWords)
+        return trap(Off, Clock,
                     format("memory address %lld out of range [0, %zu)",
-                           static_cast<long long>(Stack.back()),
-                           Memory.size()));
-      Memory[static_cast<size_t>(Addr)] = Value;
-      Stack.back() = Value; // poke yields the stored value.
+                           static_cast<long long>(S[Sp - 1]), MemWords));
+      Mem[Addr] = Value;
+      S[Sp - 1] = Value; // poke yields the stored value.
       break;
     }
 
-    case Opcode::NumOpcodes:
-      return trap(InsnPc, "illegal opcode");
+    case Opcode::NumOpcodes: // == IllegalMarker
+      return trap(Off, Clock,
+                  format("illegal opcode %u",
+                         static_cast<unsigned>(Img.Code[Off])));
+
+    default: // TruncatedMarker
+      return trap(Off, Clock,
+                  "truncated instruction at end of code segment");
     }
 
-    // Advance the virtual clock and deliver any elapsed ticks at this
-    // instruction's address.
-    Cycles += opcodeCycleCost(Op);
-    while (Cycles >= NextTickAt) {
-      deliverTick(InsnPc);
-      NextTickAt += Opts.CyclesPerTick;
-      ++Ticks;
+    // Advance the virtual clock; deliver any elapsed ticks at this
+    // instruction's address and enforce the cycle limit.
+    Clock += D.Cost;
+    if (Clock >= Wake) [[unlikely]] {
+      Cycles = Clock;
+      deliverDueTicks(Image::BaseAddr + Off);
+      if (Clock - StartCycles > Opts.MaxCycles)
+        return trap(Off, Clock, "cycle limit exceeded");
+      Wake = std::min(NextTickAt, LimitAt);
     }
-    if (PendingReturn) {
-      Hooks->onReturn(PendingReturn->Addr);
-      PendingReturn = nullptr;
-    }
-    if (Cycles - StartCycles > Opts.MaxCycles)
-      return trap(InsnPc, "cycle limit exceeded");
+    Off = Next;
   }
 }

@@ -22,6 +22,18 @@
 /// swapping in a different ProfileHooks implementation changes the whole
 /// profiler without touching the compiler or the program.
 ///
+/// Decoding happens once, when the VM is constructed: every byte offset of
+/// the code segment gets a table entry holding the instruction that starts
+/// there (opcode, or a marker for an illegal or truncated instruction; its
+/// size and cycle cost; its decoded immediate, target, slot or argument
+/// count; for a direct call, the callee's FuncInfo), so a jump may still
+/// land on any byte, including another instruction's operands.  A second
+/// per-offset table names the function entered at each offset, which
+/// resolves indirect calls without a symbol-table search.  The run loop
+/// dispatches from the table and never re-reads the code bytes.  Both
+/// tables are built from the Image once and point into its function table,
+/// so the Image must not change while a VM holds it.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef GPROF_VM_VM_H
@@ -101,15 +113,19 @@ struct RunResult {
 /// switched on and off around it.
 class VM {
 public:
+  /// Decodes \p Img's code segment.  \p Img must outlive the VM and must
+  /// not change while the VM exists: the decoded table is not refreshed.
   explicit VM(const Image &Img, VMOptions Opts = VMOptions());
 
   /// Attaches (or detaches, with nullptr) profiling hooks.
   void setHooks(ProfileHooks *H) { Hooks = H; }
 
-  /// Resets globals and runs 'main' to completion.
+  /// Resets globals and runs 'main' to completion.  Fails without
+  /// executing anything when Opts.CyclesPerTick is 0.
   Expected<RunResult> run();
 
   /// Calls function \p Name with \p Args using current global state.
+  /// Fails without executing anything when Opts.CyclesPerTick is 0.
   Expected<RunResult> call(const std::string &Name,
                            const std::vector<int64_t> &Args);
 
@@ -130,14 +146,32 @@ private:
     const FuncInfo *Func;
   };
 
+  /// The decoded instruction at one code offset.
+  struct Decoded {
+    /// An Opcode, or IllegalMarker / TruncatedMarker (see VM.cpp).
+    uint8_t Op = 0;
+    uint8_t Size = 1;
+    uint8_t Cost = 0;
+    uint8_t Argc = 0;
+    union {
+      /// Push's immediate; PushFunc's address; the slot or global index;
+      /// for jumps, the target's offset from Image::BaseAddr (wrapping).
+      uint64_t Operand = 0;
+      /// Call: the callee, or null when the call can only trap.
+      const FuncInfo *Callee;
+    };
+  };
+
   Expected<RunResult> execute(const FuncInfo &Entry,
                               const std::vector<int64_t> &Args);
-  Error trap(Address Pc, const std::string &Message) const;
+  /// Stores \p Clock into Cycles and fails at code offset \p Offset.
+  Error trap(uint64_t Offset, uint64_t Clock, const std::string &Message);
+  Error badCall(uint64_t Offset, uint64_t Clock, Address Target,
+                unsigned Argc);
   void deliverTick(Address Pc);
-
-  uint16_t readU16(Address Pc) const;
-  uint64_t readU64(Address Pc) const;
-  int64_t readI64(Address Pc) const;
+  void deliverDueTicks(Address Pc);
+  /// Image::findFunctionAt(Pc), from EntryAt inside the code segment.
+  const FuncInfo *functionAt(Address Pc) const;
 
   const Image &Img;
   VMOptions Opts;
@@ -149,6 +183,12 @@ private:
   std::vector<int64_t> Locals;
   std::vector<Frame> Frames;
   std::vector<Address> StackScratch;
+
+  /// One entry per code byte offset.
+  std::vector<Decoded> Code;
+  /// Per code byte offset: the function entered there, as
+  /// Image::findFunctionAt resolves it, or null.
+  std::vector<const FuncInfo *> EntryAt;
 
   uint64_t Cycles = 0;
   uint64_t NextTickAt = 0;

@@ -6,17 +6,14 @@
 ///
 /// \file
 /// Deserializers must reject — never crash on — damaged inputs: truncated
-/// files, bit flips, and random garbage.  The VM must trap — never crash
-/// on — malformed code reached through hand-assembled images.
+/// files, bit flips, and random garbage.  Damaged images, and the VM's
+/// traps on malformed code, are covered with the VM's reference
+/// interpreter in tests/vm_oracle_test.cpp.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "gmon/GmonFile.h"
 #include "support/Random.h"
-#include "vm/Bytecode.h"
-#include "vm/CodeGen.h"
-#include "vm/Image.h"
-#include "vm/VM.h"
 
 #include <gtest/gtest.h>
 
@@ -33,19 +30,6 @@ std::vector<uint8_t> sampleGmonBytes() {
   for (int I = 0; I != 20; ++I)
     D.addArc(0x1000 + I * 3, 0x1100 + (I % 4) * 16, I + 1);
   return writeGmon(D);
-}
-
-std::vector<uint8_t> sampleImageBytes() {
-  return compileTLOrDie(R"(
-    fn helper(a, b) { return a * b + 1; }
-    fn main() {
-      var i = 0;
-      var acc = 0;
-      while (i < 3) { acc = acc + helper(i, i); i = i + 1; }
-      return acc;
-    }
-  )")
-      .serialize();
 }
 
 } // namespace
@@ -104,125 +88,3 @@ TEST_P(GmonFuzzTest, RandomGarbageRejected) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GmonFuzzTest,
                          testing::Range<uint64_t>(0, 4));
-
-class ImageFuzzTest : public testing::TestWithParam<uint64_t> {};
-
-TEST_P(ImageFuzzTest, TruncationsNeverCrash) {
-  std::vector<uint8_t> Bytes = sampleImageBytes();
-  SplitMix64 Rng(GetParam());
-  for (int Trial = 0; Trial != 50; ++Trial) {
-    size_t Cut = static_cast<size_t>(Rng.nextBelow(Bytes.size()));
-    std::vector<uint8_t> Short(Bytes.begin(), Bytes.begin() + Cut);
-    auto R = Image::deserialize(Short);
-    EXPECT_FALSE(static_cast<bool>(R));
-    (void)R.takeError();
-  }
-}
-
-TEST_P(ImageFuzzTest, MutatedImagesLoadOrFailCleanly_AndRunOrTrap) {
-  std::vector<uint8_t> Bytes = sampleImageBytes();
-  SplitMix64 Rng(GetParam() + 77);
-  for (int Trial = 0; Trial != 100; ++Trial) {
-    std::vector<uint8_t> Mutated = Bytes;
-    unsigned Flips = 1 + static_cast<unsigned>(Rng.nextBelow(6));
-    for (unsigned F = 0; F != Flips; ++F) {
-      size_t Byte = static_cast<size_t>(Rng.nextBelow(Mutated.size()));
-      Mutated[Byte] ^= static_cast<uint8_t>(1u << Rng.nextBelow(8));
-    }
-    auto Img = Image::deserialize(Mutated);
-    if (!Img) {
-      (void)Img.takeError();
-      continue;
-    }
-    // A structurally valid mutant must either run to completion or trap
-    // with a clean error — never crash.  Bound the run tightly.
-    VMOptions VO;
-    VO.MaxCycles = 100000;
-    VO.MaxCallDepth = 64;
-    VM Machine(*Img, VO);
-    auto R = Machine.run();
-    if (!R)
-      (void)R.takeError();
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, ImageFuzzTest,
-                         testing::Range<uint64_t>(0, 4));
-
-//===----------------------------------------------------------------------===//
-// Hand-assembled images: VM hardening paths
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// Builds a single-function image from raw code bytes.
-Image handImage(std::vector<uint8_t> Code, uint16_t NumSlots = 0) {
-  Image Img;
-  Img.Code = std::move(Code);
-  FuncInfo F;
-  F.Name = "main";
-  F.Addr = Image::BaseAddr;
-  F.CodeSize = static_cast<uint32_t>(Img.Code.size());
-  F.NumParams = 0;
-  F.NumSlots = NumSlots;
-  Img.Functions.push_back(F);
-  Img.EntryFunction = 0;
-  return Img;
-}
-
-void expectTrap(const Image &Img, const std::string &Needle) {
-  VMOptions VO;
-  VO.MaxCycles = 10000;
-  VM Machine(Img, VO);
-  auto R = Machine.run();
-  ASSERT_FALSE(static_cast<bool>(R));
-  EXPECT_NE(R.message().find(Needle), std::string::npos) << R.message();
-  (void)R.takeError();
-}
-
-constexpr uint8_t op(Opcode O) { return static_cast<uint8_t>(O); }
-
-} // namespace
-
-TEST(VMHardeningTest, IllegalOpcodeTraps) {
-  expectTrap(handImage({0xEE}), "illegal opcode");
-}
-
-TEST(VMHardeningTest, HaltSentinelTraps) {
-  expectTrap(handImage({op(Opcode::Halt)}), "halt sentinel");
-}
-
-TEST(VMHardeningTest, RunningOffCodeEndTraps) {
-  // A lone push falls off the end of the segment.
-  std::vector<uint8_t> Code = {op(Opcode::Push), 1, 0, 0, 0, 0, 0, 0, 0};
-  expectTrap(handImage(Code), "left the code segment");
-}
-
-TEST(VMHardeningTest, TruncatedInstructionTraps) {
-  // Push opcode with only 3 of its 8 operand bytes.
-  expectTrap(handImage({op(Opcode::Push), 1, 2, 3}), "truncated");
-}
-
-TEST(VMHardeningTest, JumpOutsideSegmentTraps) {
-  std::vector<uint8_t> Code = {op(Opcode::Jump), 0, 0, 0, 0,
-                               0, 0, 0, 0}; // Target 0 < BaseAddr.
-  expectTrap(handImage(Code), "left the code segment");
-}
-
-TEST(VMHardeningTest, CallToNonEntryAddressTraps) {
-  // Call target = BaseAddr + 1, which is not a function entry.
-  std::vector<uint8_t> Code = {op(Opcode::Call), 1, 0x10, 0, 0,
-                               0, 0, 0, 0, /*argc=*/0};
-  expectTrap(handImage(Code), "invalid function value");
-}
-
-TEST(VMHardeningTest, WellFormedHandImageRuns) {
-  // push 7; ret  — a minimal valid program.
-  std::vector<uint8_t> Code = {op(Opcode::Push), 7, 0, 0, 0, 0, 0, 0, 0,
-                               op(Opcode::Ret)};
-  Image Img = handImage(Code);
-  VM Machine(Img);
-  auto R = Machine.run();
-  ASSERT_TRUE(static_cast<bool>(R)) << R.message();
-  EXPECT_EQ(R->ExitValue, 7);
-}

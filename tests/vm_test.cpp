@@ -460,6 +460,30 @@ TEST(VMTest, UnprofiledFunctionsSkipMcount) {
   EXPECT_EQ(F->Name, "main");
 }
 
+TEST(VMTest, ZeroCyclesPerTickFailsBeforeExecuting) {
+  // A zero tick interval would deliver ticks forever on the first
+  // instruction; both entry points refuse it up front.
+  Image Img = compileTLOrDie("fn f(x) { return x; } "
+                             "fn main() { return f(1); }");
+  VMOptions VO;
+  VO.CyclesPerTick = 0;
+  RecordingHooks Hooks;
+  VM Machine(Img, VO);
+  Machine.setHooks(&Hooks);
+  auto R = Machine.run();
+  ASSERT_FALSE(static_cast<bool>(R));
+  EXPECT_NE(R.message().find("CyclesPerTick"), std::string::npos)
+      << R.message();
+  (void)R.takeError();
+  auto C = Machine.call("f", {1});
+  ASSERT_FALSE(static_cast<bool>(C));
+  EXPECT_NE(C.message().find("CyclesPerTick"), std::string::npos)
+      << C.message();
+  (void)C.takeError();
+  EXPECT_EQ(Hooks.Ticks, 0u);
+  EXPECT_EQ(Machine.totalCycles(), 0u);
+}
+
 //===----------------------------------------------------------------------===//
 // Image serialization
 //===----------------------------------------------------------------------===//
@@ -551,6 +575,46 @@ TEST(DisassemblerTest, ListsAllFunctionsAndCalls) {
   EXPECT_NE(Listing.find("mcount"), std::string::npos);
   EXPECT_NE(Listing.find("call"), std::string::npos);
   EXPECT_NE(Listing.find("callee, 1 args"), std::string::npos);
+}
+
+namespace {
+
+/// A loadable image whose single function ends in \p Tail, an instruction
+/// missing some of its operand bytes at the end of the code segment.
+Image truncatedTailImage(std::vector<uint8_t> Tail) {
+  Image Hand;
+  Hand.Code = std::move(Tail);
+  FuncInfo F;
+  F.Name = "main";
+  F.Addr = Image::BaseAddr;
+  F.CodeSize = static_cast<uint32_t>(Hand.Code.size());
+  Hand.Functions.push_back(F);
+  // Image::deserialize accepts it: functions must lie inside the code
+  // segment, but instruction boundaries are not checked.
+  return cantFail(Image::deserialize(Hand.serialize()));
+}
+
+} // namespace
+
+TEST(DisassemblerTest, TruncatedInstructionPrintedAsTruncated) {
+  // A push with 3 of its 8 operand bytes.
+  Image Img = truncatedTailImage({static_cast<uint8_t>(Opcode::Push), 1, 2, 3});
+  EXPECT_EQ(disassemble(Img), "main:  ; 0 params, 0 slots\n"
+                              "  0x001000: push       <truncated at end of "
+                              "code segment>\n");
+  EXPECT_EQ(disassembleInstruction(Img, Image::BaseAddr),
+            "0x001000: push       <truncated at end of code segment>");
+}
+
+TEST(StaticScanTest, TruncatedInstructionEndsTheScan) {
+  for (Opcode Op : {Opcode::Call, Opcode::PushFunc, Opcode::CallIndirect}) {
+    SCOPED_TRACE(opcodeName(Op));
+    StaticScanResult Scan =
+        scanStaticCalls(truncatedTailImage({static_cast<uint8_t>(Op)}));
+    EXPECT_TRUE(Scan.DirectCalls.empty());
+    EXPECT_TRUE(Scan.AddressTaken.empty());
+    EXPECT_TRUE(Scan.IndirectCallSites.empty());
+  }
 }
 
 TEST(StaticScanTest, FindsDirectCallsIncludingUnexecuted) {
