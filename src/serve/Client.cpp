@@ -32,8 +32,16 @@ Expected<Frame> ServeClient::attempt(MsgType Type,
   telemetry::Registry &R = telemetry::Registry::instance();
   const bool Tracing = R.spansEnabled();
   const uint64_t BeginNs = Tracing ? R.nowNs() : 0;
-  if (Error E = Conn->writeFrame(Type, Payload))
+  if (Error E = Conn->writeFrame(Type, Payload)) {
+    // A daemon at capacity answers RETRY and closes without reading the
+    // request, so the write can fail with that answer already waiting.
+    if (Conn->inputPending()) {
+      auto Answer = Conn->readFrame();
+      if (Answer && *Answer && (**Answer).Type == MsgType::Retry)
+        return std::move(**Answer);
+    }
     return E;
+  }
   auto Response = Conn->readFrame();
   if (!Response)
     return Response.takeError();

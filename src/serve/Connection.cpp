@@ -86,3 +86,12 @@ Error Connection::writeFrame(MsgType Type,
       return E;
   return Error::success();
 }
+
+bool Connection::inputPending() const {
+  auto Ready = Sock.waitReadable(/*TimeoutMs=*/0);
+  if (!Ready) {
+    (void)Ready.takeError();
+    return false;
+  }
+  return *Ready;
+}

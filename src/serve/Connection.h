@@ -70,6 +70,9 @@ public:
     return writeFrame(MsgType::Retry, encodeText(Hint));
   }
 
+  /// True when bytes, or the peer's close, are waiting to be read now.
+  bool inputPending() const;
+
   bool isOpen() const { return Sock.isOpen(); }
   void close() { Sock.close(); }
 

@@ -215,6 +215,8 @@ bool ServeServer::dispatch(Connection &Conn, const Frame &Request) {
 
   Error E = Error::success();
   bool Desynchronized = false;
+  bool Stored = false;
+  uint64_t EndNs = 0;
   {
     telemetry::Span RequestSpan("serve.request");
     telemetry::counter("serve.request." + Name).add(1);
@@ -223,7 +225,7 @@ bool ServeServer::dispatch(Connection &Conn, const Frame &Request) {
       E = Conn.writeFrame(MsgType::Ok, {});
       break;
     case MsgType::PutShard:
-      E = handlePut(Conn, Request);
+      E = handlePut(Conn, Request, Stored);
       break;
     case MsgType::List:
       E = handleList(Conn);
@@ -241,9 +243,13 @@ bool ServeServer::dispatch(Connection &Conn, const Frame &Request) {
                                    Name.c_str()));
       Desynchronized = true;
     }
+    // The response is written: stop the clock here, before the span and
+    // any post-reply work, so the latency stays inside the client's round
+    // trip.
+    EndNs = R.nowNs();
   }
 
-  const uint64_t DurNs = R.nowNs() - BeginNs;
+  const uint64_t DurNs = EndNs - BeginNs;
   R.histogram("serve.request.latency." + Name).record(DurNs);
   if (Opts.SlowRequestMs >= 0 &&
       DurNs >= uint64_t(Opts.SlowRequestMs) * 1000000u)
@@ -251,6 +257,11 @@ bool ServeServer::dispatch(Connection &Conn, const Frame &Request) {
         "request.slow", jsonStringField("type", Name) + ", " +
                             jsonIntField("ms", DurNs / 1000000u) + ", " +
                             jsonIntField("request", ReqId));
+
+  // Folding is background work off the push latency path; the check may
+  // wait on the ingest lock behind other pushes.
+  if (Stored)
+    maybeScheduleCompaction();
 
   if (Desynchronized)
     return false;
@@ -294,7 +305,8 @@ Error ServeServer::handleStats(Connection &Conn, const Frame &Request) {
   return Conn.writeFrame(MsgType::Ok, encodeStatsResponse(Resp));
 }
 
-Error ServeServer::handlePut(Connection &Conn, const Frame &Request) {
+Error ServeServer::handlePut(Connection &Conn, const Frame &Request,
+                             bool &Stored) {
   auto Req = decodePutShard(Request.Payload);
   if (!Req)
     return Conn.writeError(Req.message());
@@ -310,11 +322,8 @@ Error ServeServer::handlePut(Connection &Conn, const Frame &Request) {
     telemetry::gauge("serve.put.failures").add(1);
     return Conn.writeError(Digest.message());
   }
-  // Answer the client before folding: compaction is background work and
-  // must not sit on the push latency path.
-  Error E = Conn.writeFrame(MsgType::Ok, encodeDigest(*Digest));
-  maybeScheduleCompaction();
-  return E;
+  Stored = true;
+  return Conn.writeFrame(MsgType::Ok, encodeDigest(*Digest));
 }
 
 Error ServeServer::handleList(Connection &Conn) {

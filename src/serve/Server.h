@@ -112,7 +112,9 @@ private:
   /// re-checks for pushes that arrived meanwhile.
   void maybeScheduleCompaction();
 
-  Error handlePut(Connection &Conn, const Frame &Request);
+  /// Answers one PUT_SHARD; sets \p Stored once the shard is in the
+  /// store, so the caller schedules compaction after the reply.
+  Error handlePut(Connection &Conn, const Frame &Request, bool &Stored);
   Error handleList(Connection &Conn);
   Error handleQuery(Connection &Conn, const Frame &Request);
   /// Answers QUERY_STATS from the telemetry registry and event log only —

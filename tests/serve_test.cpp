@@ -516,7 +516,7 @@ TEST_F(ServeTest, BackpressureAnswersRetryAtCapacity) {
   ServeClient Rejected(D.SocketPath, FailFast);
   Error E = Rejected.ping();
   ASSERT_TRUE(static_cast<bool>(E));
-  EXPECT_NE(E.message().find("capacity"), std::string::npos);
+  EXPECT_NE(E.message().find("capacity"), std::string::npos) << E.message();
 
   // Freeing the slot lets the next client (with retry budget) through.
   Occupant.disconnect();
@@ -525,6 +525,47 @@ TEST_F(ServeTest, BackpressureAnswersRetryAtCapacity) {
   Retrying.RetryBackoffMs = 1;
   ServeClient Eventually(D.SocketPath, Retrying);
   cantFail(Eventually.ping());
+}
+
+TEST(ServeClientTest, CapacityAnswerSurvivesAFailedRequestWrite) {
+  // A daemon at capacity writes RETRY and closes without reading the
+  // request.  When the close lands before the client's write, the write
+  // fails with a broken pipe while the RETRY is already waiting; the
+  // client must still report the capacity answer.  A scripted peer makes
+  // that order deterministic: it answers one ping, then RETRY, and closes.
+  std::string SocketPath = tempPath("retry_then_close.sock");
+  auto Listener = UnixListener::listenOn(SocketPath);
+  ASSERT_TRUE(static_cast<bool>(Listener)) << Listener.message();
+  std::thread Peer([&] {
+    auto Pending = Listener->waitReadable(5000);
+    ASSERT_TRUE(Pending && *Pending);
+    auto Sock = Listener->accept();
+    ASSERT_TRUE(static_cast<bool>(Sock)) << Sock.message();
+    ConnectionOptions CO;
+    CO.IdleTimeoutMs = 5000;
+    Connection Conn(std::move(*Sock), CO);
+    auto Request = Conn.readFrame();
+    ASSERT_TRUE(Request && *Request);
+    EXPECT_EQ((**Request).Type, MsgType::Ping);
+    cantFail(Conn.writeFrame(MsgType::Ok, {}));
+    cantFail(Conn.writeRetry("server at capacity (1 connections); retry "
+                             "with backoff"));
+    Conn.close();
+  });
+
+  ClientOptions FailFast;
+  FailFast.Retries = 0;
+  FailFast.RetryBackoffMs = 0;
+  ServeClient Client(SocketPath, FailFast);
+  Error First = Client.ping();
+  Peer.join();
+  ASSERT_FALSE(static_cast<bool>(First)) << First.message();
+
+  // The cached connection's peer is gone: this write fails.
+  Error E = Client.ping();
+  ASSERT_TRUE(static_cast<bool>(E));
+  EXPECT_NE(E.message().find("capacity"), std::string::npos) << E.message();
+  Listener->close();
 }
 
 //===----------------------------------------------------------------------===//
