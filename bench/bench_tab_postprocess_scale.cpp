@@ -17,27 +17,20 @@
 ///  - the prof(1) flat-only baseline (no propagation at all), which
 ///    bounds the cost gprof adds over its predecessor.
 ///
-/// A second section measures the parallel pipeline: wall time of the
-/// same analysis at 1/2/4/8 worker threads over a cycle-rich synthetic
-/// profile, asserting the listings stay byte-identical at every thread
-/// count, and emits BENCH_postprocess_scale.json (threads → ms, speedup)
-/// for the perf-tracking tooling.  Run with --smoke for a single
-/// quick iteration (the ctest smoke target).
-///
-/// A third section guards the read-path overhaul (docs/READPATH.md): it
+/// A second section guards the read-path overhaul (docs/READPATH.md): it
 /// times the flat-resolver symbolize phase against a bench-local replica
 /// of the pre-overhaul path (AoS upper_bound per endpoint, std::map
 /// accumulation per arc) over a 100k-routine corpus, emits
-/// symbolize_ns_per_record for both into the same JSON, and FAILs if the
-/// speedup regresses below its floor — the same shape as the mcount-cost
-/// guard, and run from ctest via the smoke target so it cannot rot.
+/// symbolize_ns_per_record for both into BENCH_postprocess_scale.json,
+/// and FAILs if the speedup regresses below its floor — the same shape as
+/// the mcount-cost guard, and run from ctest via the smoke target so it
+/// cannot rot.  Run with --smoke for a single quick iteration (the ctest
+/// smoke target).
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
-#include "core/FlatPrinter.h"
-#include "core/GraphPrinter.h"
 #include "gmon/GmonFile.h"
 #include "graph/Generators.h"
 #include "prof/ProfBaseline.h"
@@ -49,7 +42,6 @@
 #include <cstdio>
 #include <cstring>
 #include <map>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -121,30 +113,6 @@ unsigned naiveFixpoint(const CallGraph &G, const ProfileReport &Seeded,
   }
   TotalOut = Total;
   return Sweeps;
-}
-
-/// Builds the thread-scaling workload: a random DAG of \p N routines
-/// plus rings of back arcs so the condensed graph has real multi-member
-/// cycles to collapse and propagate through.
-void makeScalingProfile(uint32_t N, SymbolTable &Syms, ProfileData &Data) {
-  CallGraph G = makeRandomDag(N, N * 4, 50, /*Seed=*/N);
-  realize(G, N + 1, Syms, Data);
-  // Close a cycle over every 50th run of 2..18 consecutive routines.
-  SplitMix64 Rng(N * 31 + 7);
-  for (uint32_t Lo = 0; Lo + 20 < N; Lo += 50) {
-    uint32_t Len = 2 + static_cast<uint32_t>(Rng.nextBelow(17));
-    for (uint32_t I = 0; I != Len; ++I) {
-      uint32_t From = Lo + I, To = Lo + (I + 1) % Len;
-      Data.Arcs.push_back({Base + From * FuncSize + 11,
-                           Base + To * FuncSize, 1 + Rng.nextBelow(9)});
-    }
-  }
-}
-
-/// The full listings a user would see; byte-compared across thread
-/// counts.
-std::string renderListings(const ProfileReport &R) {
-  return printFlatProfile(R) + "\n" + printCallGraph(R);
 }
 
 /// Milliseconds spent in every span named \p Name.
@@ -297,78 +265,14 @@ int main(int argc, char **argv) {
         12);
   }
 
-  //--- Parallel pipeline scaling (AnalyzerOptions::Threads). --------------
-  const uint32_t ScaleN = 5000;
-  SymbolTable ScaleSyms;
-  ProfileData ScaleData;
-  makeScalingProfile(ScaleN, ScaleSyms, ScaleData);
-  const unsigned Cores = std::max(1u, std::thread::hardware_concurrency());
-
-  std::printf("\nparallel pipeline over %u routines (%zu raw arcs, "
-              "%u hardware threads):\n\n",
-              ScaleN, ScaleData.Arcs.size(), Cores);
-  row({"threads", "ms", "speedup", "symbolize", "assign", "propagate",
-       "identical"},
-      12);
-
-  BenchJson Json("postprocess_scale");
-  Json.set("routines", static_cast<uint64_t>(ScaleN));
-  Json.set("raw_arcs", static_cast<uint64_t>(ScaleData.Arcs.size()));
-  Json.set("hardware_concurrency", static_cast<uint64_t>(Cores));
-
-  std::string Reference;
-  double BaseMs = 0.0, Ms4 = 0.0;
-  bool AllIdentical = true;
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    AnalyzerOptions AO;
-    AO.Threads = Threads;
-    Analyzer An(ScaleSyms, AO);
-    ProfileReport R;
-    double Ms = timeMs([&] { R = cantFail(An.analyze(ScaleData)); }, Reps);
-    std::string Listings = renderListings(R);
-    if (Threads == 1) {
-      Reference = std::move(Listings);
-      BaseMs = Ms;
-    } else {
-      AllIdentical &= Listings == Reference;
-    }
-    if (Threads == 4)
-      Ms4 = Ms;
-    double Speedup = Ms > 0.0 ? BaseMs / Ms : 0.0;
-
-    // One extra instrumented run per thread count: spans are enabled only
-    // here, so the timed loop above measured the uninstrumented pipeline.
-    telemetry::Registry &Reg = telemetry::Registry::instance();
-    Reg.resetValues();
-    Reg.enableSpans(true);
-    (void)cantFail(An.analyze(ScaleData));
-    Reg.enableSpans(false);
-    std::vector<telemetry::SpanRecord> Spans = Reg.collectSpans();
-    double SymbolizeMs = spanTotalMs(Spans, "analyzer.symbolize");
-    double AssignMs = spanTotalMs(Spans, "analyzer.assign");
-    double PropagateMs = spanTotalMs(Spans, "analyzer.propagate");
-
-    row({format("%u", Threads), formatFixed(Ms, 1), formatFixed(Speedup, 2),
-         formatFixed(SymbolizeMs, 1), formatFixed(AssignMs, 1),
-         formatFixed(PropagateMs, 1),
-         Threads == 1 ? "-" : (AllIdentical ? "yes" : "NO")},
-        12);
-    Json.beginRow();
-    Json.setRow("threads", static_cast<uint64_t>(Threads));
-    Json.setRow("ms", Ms);
-    Json.setRow("speedup", Speedup);
-    Json.setRow("symbolize_ms", SymbolizeMs);
-    Json.setRow("assign_ms", AssignMs);
-    Json.setRow("propagate_ms", PropagateMs);
-  }
-  Json.set("identical_listings", AllIdentical);
-
   //--- Symbolize throughput: flat resolver vs the pre-overhaul path. ------
   const uint32_t SymN = Smoke ? 20000u : 100000u;
   const size_t SymRecords = Smoke ? 200000u : 2000000u;
   SymbolTable SymSyms;
   ProfileData SymData;
   makeSymbolizeCorpus(SymN, SymRecords, SymSyms, SymData);
+
+  BenchJson Json("postprocess_scale");
 
   std::printf("\nsymbolize throughput over %u routines, %zu raw records\n"
               "(legacy = AoS upper_bound + std::map accumulation, the "
@@ -384,15 +288,13 @@ int main(int argc, char **argv) {
   double LegacyMs =
       timeMs([&] { Legacy = legacySymbolize(AoS, SymData.Arcs); }, Reps);
 
-  // The real path, read off the analyzer.symbolize span of a sequential
+  // The real path, read off the analyzer.symbolize span of an
   // instrumented run (best of Reps, mirroring timeMs).
   telemetry::Registry &Reg = telemetry::Registry::instance();
   double FlatMs = 1e300;
   uint64_t FlatFnArcs = 0, FlatUnknown = 0;
   {
-    AnalyzerOptions AO;
-    AO.Threads = 1;
-    Analyzer An(SymSyms, AO);
+    Analyzer An(SymSyms);
     for (int R = 0; R != Reps; ++R) {
       Reg.resetValues();
       Reg.enableSpans(true);
@@ -464,8 +366,6 @@ int main(int argc, char **argv) {
   Ok &= check(LastGprofMs < 30000.0,
               "post-processing stays a fast separate pass even at 50k "
               "routines");
-  Ok &= check(AllIdentical,
-              "listings are byte-identical at 1/2/4/8 analysis threads");
   Ok &= check(SymAgree,
               "flat symbolize agrees with the legacy replica (fn arcs and "
               "unknown callees)");
@@ -481,12 +381,5 @@ int main(int argc, char **argv) {
               format("flat symbolize is >= %.1fx the legacy path at %u "
                      "routines (measured %.1fx)",
                      SymGate, SymN, SymSpeedup));
-  if (Cores >= 4 && !Smoke)
-    Ok &= check(Ms4 * 2.0 <= BaseMs,
-                "4-thread pipeline is at least 2x the sequential speed");
-  else
-    std::printf("  [SKIP] 4-thread speedup gate (needs >= 4 cores and a "
-                "full run; this host has %u)\n",
-                Cores);
   return Ok ? 0 : 1;
 }

@@ -12,11 +12,12 @@
 /// every configuration produces byte-identical output.  Compaction: a real
 /// on-disk store at 256 and 1024 shards, comparing the cold flat-merge
 /// report (every object read and merged) against the report after LSM
-/// compaction (a handful of tiered runs), asserting that the compacted
-/// report merges at most 16 inputs and that its bytes match the flat merge
-/// exactly.  Emits BENCH_store_merge.json for the perf-tracking tooling;
-/// --smoke shrinks the sizes for the ctest hook that keeps the bench and
-/// its JSON emission from rotting.
+/// compaction (a handful of tiered runs), each timed once on a cold
+/// store, asserting that the flat report merges every shard, that the
+/// compacted report merges 1 to 16 inputs, and that its bytes match the
+/// flat merge exactly.  Emits BENCH_store_merge.json for the
+/// perf-tracking tooling; --smoke shrinks the sizes for the ctest hook
+/// that keeps the bench and its JSON emission from rotting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -83,21 +84,26 @@ CompactionRound runCompactionRound(size_t NumShards) {
                        /*CaptureTimeNs=*/I + 1)
                  .takeError());
 
+  // Each operation is timed once: a repeat would hit the aggregate cache
+  // (merge) or find nothing left to fold (compact).
   ThreadPool Pool(8);
   ProfileStore::MergeResult Flat;
-  R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({}, &Pool)); });
+  R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({}, &Pool)); }, 1);
   R.InputsFlat = Flat.InputsMerged;
   std::vector<uint8_t> FlatBytes = writeGmon(Flat.Data);
 
-  R.CompactMs = timeMs([&] {
-    CompactionStats Stats = cantFail(Store.compact(&Pool));
-    R.Folds = Stats.Steps;
-  });
+  R.CompactMs = timeMs(
+      [&] {
+        CompactionStats Stats = cantFail(Store.compact(&Pool));
+        R.Folds = Stats.Steps;
+      },
+      1);
 
   // Cold again: drop the cached aggregate so the report actually merges.
   cantFail(removeFile(Store.cachePath(Flat.Digest)));
   ProfileStore::MergeResult Tiered;
-  R.ReportMs = timeMs([&] { Tiered = cantFail(Store.merge({}, &Pool)); });
+  R.ReportMs =
+      timeMs([&] { Tiered = cantFail(Store.merge({}, &Pool)); }, 1);
   R.InputsCompacted = Tiered.InputsMerged;
   R.RunsUsed = Tiered.RunsUsed;
   R.Identical = writeGmon(Tiered.Data) == FlatBytes;
@@ -176,7 +182,8 @@ int main(int Argc, char **Argv) {
   for (size_t N : StoreSizes) {
     CompactionRound R = runCompactionRound(N);
     CompactIdentical = CompactIdentical && R.Identical;
-    CompactBounded = CompactBounded && R.InputsCompacted <= 16;
+    CompactBounded = CompactBounded && R.InputsFlat == N &&
+                     R.InputsCompacted > 0 && R.InputsCompacted <= 16;
     row({format("%zu", R.Shards), format("%.2f", R.FlatMs),
          format("%.2f", R.CompactMs), format("%.2f", R.ReportMs),
          format("%zu -> %zu", R.InputsFlat, R.InputsCompacted),
@@ -210,7 +217,8 @@ int main(int Argc, char **Argv) {
               "the compacted report is byte-identical to the flat merge at "
               "every store size");
   Ok &= check(CompactBounded,
-              "after compaction a full report merges at most 16 inputs");
+              "the flat report merges every shard, and after compaction a "
+              "full report merges 1 to 16 inputs");
   Json.set("kway1_ms", KWay1Ms);
   Json.set("best_parallel_ms", BestParallelMs);
   Json.write();

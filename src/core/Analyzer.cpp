@@ -12,12 +12,9 @@
 #include "graph/Tarjan.h"
 #include "support/Arena.h"
 #include "support/Format.h"
-#include "support/Parallel.h"
 #include "support/Telemetry.h"
-#include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <memory>
 
 using namespace gprof;
 
@@ -40,16 +37,15 @@ bool fnArcKeyLess(const FnArc &A, std::pair<uint32_t, uint32_t> K) {
   return A.From != K.first ? A.From < K.first : A.To < K.second;
 }
 
-/// Shard-local arc accumulator for parallel symbolization: an
-/// open-addressing table over the packed key (Caller << 32) | Callee,
-/// with slab storage from an Arena.  One table carries all three arc
-/// categories — Caller == NoSymbol packs spontaneous activations,
-/// Caller == Callee packs self calls — so the per-record hot path is one
-/// probe and one add, with no per-arc heap allocation (the historical
-/// std::map shards paid a node allocation per distinct key plus a
+/// Arc accumulator for symbolization: an open-addressing table over the
+/// packed key (Caller << 32) | Callee, with slab storage from an Arena.
+/// One table carries all three arc categories — Caller == NoSymbol packs
+/// spontaneous activations, Caller == Callee packs self calls — so the
+/// per-record hot path is one probe and one add, with no per-arc heap
+/// allocation (a std::map pays a node allocation per distinct key plus a
 /// red-black rebalance per insert).  Growth re-probes into a fresh,
 /// larger slab from the same arena; everything is released at once when
-/// the shard dies.
+/// the table dies.
 class PackedArcAccum {
 public:
   static uint64_t packKey(uint32_t Caller, uint32_t Callee) {
@@ -119,77 +115,46 @@ private:
   size_t Used = 0;
 };
 
-/// Chunk-local accumulators for parallel arc symbolization.  Every count
-/// is an integer, so the sorted reduction below yields totals independent
-/// of the chunk decomposition (and therefore of the thread count).
-struct SymbolizeShard {
-  PackedArcAccum Accum;
-  uint64_t UnknownCallee = 0; ///< Arcs into unknown code, dropped.
-};
-
 /// Step 1: symbolizes raw arc records into function-level arcs, self
-/// calls and spontaneous activations.  Raw records shard across workers;
-/// each worker resolves call sites against the flat resolver and
-/// accumulates shard-locally.  The reduction gathers every shard's
-/// (packed key, count) pairs, sorts them, and coalesces equal keys —
-/// unsigned sums are order-independent, so the result matches the
-/// sequential accumulation at every thread count, and walking the sorted
-/// keys emits FnArcs in exactly the (From, To) order the historical
-/// std::map iterated in.
+/// calls and spontaneous activations.  Each record resolves both ends
+/// against the flat resolver and accumulates into one packed-key table;
+/// the table's (key, count) pairs are then sorted, so walking them emits
+/// FnArcs in (From, To) order.
 void symbolizeArcs(const std::vector<ArcRecord> &Raw, const SymbolTable &Syms,
-                   ThreadPool *Pool, std::vector<FnArc> &FnArcs,
+                   std::vector<FnArc> &FnArcs,
                    std::vector<uint64_t> &SelfCalls,
                    std::vector<uint64_t> &Spontaneous) {
   telemetry::Span Phase("analyzer.symbolize");
   telemetry::ScopedDuration Timer(
       telemetry::histogram("analyzer.phase.latency.symbolize"));
-  std::vector<IndexChunk> Chunks = planChunks(Pool, Raw.size(), 1024);
-  std::vector<SymbolizeShard> Shards(Chunks.size());
-  runChunks(Pool, Chunks, [&](size_t Begin, size_t End, size_t Chunk) {
-    telemetry::Span ChunkSpan("analyzer.symbolize.chunk");
-    SymbolizeShard &Shard = Shards[Chunk];
-    for (size_t I = Begin; I != End; ++I) {
-      const ArcRecord &R = Raw[I];
-      uint32_t Callee = Syms.findContaining(R.SelfPc);
-      if (Callee == NoSymbol) {
-        ++Shard.UnknownCallee;
-        continue; // Arc into unknown code; nothing to attach it to.
-      }
-      // "the apparent source of the arc is not a call site at all.  Such
-      // anomalous invocations are declared 'spontaneous'" (§3.1) —
-      // Caller == NoSymbol packs them into the same table.
-      uint32_t Caller = Syms.findContaining(R.FromPc);
-      Shard.Accum.add(Caller, Callee, R.Count);
-    }
-  });
-  // Counters: all data-derived sums, so the sorted reduction yields the
-  // same values at every thread count.
+  PackedArcAccum Accum;
   uint64_t Unknown = 0;
-  size_t TotalSlots = 0;
-  for (const SymbolizeShard &Shard : Shards) {
-    Unknown += Shard.UnknownCallee;
-    TotalSlots += Shard.Accum.size();
+  for (const ArcRecord &R : Raw) {
+    uint32_t Callee = Syms.findContaining(R.SelfPc);
+    if (Callee == NoSymbol) {
+      ++Unknown;
+      continue; // Arc into unknown code; nothing to attach it to.
+    }
+    // "the apparent source of the arc is not a call site at all.  Such
+    // anomalous invocations are declared 'spontaneous'" (§3.1) —
+    // Caller == NoSymbol packs them into the same table.
+    Accum.add(Syms.findContaining(R.FromPc), Callee, R.Count);
   }
   std::vector<std::pair<uint64_t, uint64_t>> Pairs;
-  Pairs.reserve(TotalSlots);
-  for (const SymbolizeShard &Shard : Shards)
-    Shard.Accum.forEach([&](uint64_t Key, uint64_t Count) {
-      Pairs.emplace_back(Key, Count);
-    });
+  Pairs.reserve(Accum.size());
+  Accum.forEach([&](uint64_t Key, uint64_t Count) {
+    Pairs.emplace_back(Key, Count);
+  });
   std::sort(Pairs.begin(), Pairs.end());
-  for (size_t I = 0; I != Pairs.size();) {
-    const uint64_t Key = Pairs[I].first;
-    uint64_t Sum = 0;
-    for (; I != Pairs.size() && Pairs[I].first == Key; ++I)
-      Sum += Pairs[I].second;
+  for (const auto &[Key, Count] : Pairs) {
     const uint32_t Caller = static_cast<uint32_t>(Key >> 32);
     const uint32_t Callee = static_cast<uint32_t>(Key);
     if (Caller == NoSymbol)
-      Spontaneous[Callee] += Sum;
+      Spontaneous[Callee] = Count;
     else if (Caller == Callee)
-      SelfCalls[Callee] += Sum;
+      SelfCalls[Callee] = Count;
     else
-      FnArcs.push_back({Caller, Callee, Sum, /*Static=*/false});
+      FnArcs.push_back({Caller, Callee, Count, /*Static=*/false});
   }
   telemetry::counter("analyzer.symbolize.raw_records").add(Raw.size());
   telemetry::counter("analyzer.symbolize.unknown_callee").add(Unknown);
@@ -198,16 +163,13 @@ void symbolizeArcs(const std::vector<ArcRecord> &Raw, const SymbolTable &Syms,
 
 /// Step 4: distributes histogram samples over symbols as self time,
 /// prorating buckets that straddle symbol boundaries (the gprof rule).
-/// Routine-major: each routine's self time is summed over its overlapping
-/// buckets in ascending bucket order by exactly one worker, which
-/// reproduces the sequential bucket-major accumulation bit for bit —
-/// routines partition the output, so no sum ever crosses a chunk
-/// boundary.  Returns the seconds that fell outside every symbol, reduced
-/// over per-bucket residuals in bucket order.
+/// One walk over the sampled buckets in address order: each bucket's
+/// seconds are shared among the symbols it overlaps, so every routine's
+/// self time accumulates over its buckets in ascending order.  Returns
+/// the seconds that fell outside every symbol, summed in bucket order.
 double assignSelfTimes(const Histogram &Hist, uint64_t TicksPerSecond,
                        const SymbolTable &Syms,
-                       std::vector<FunctionEntry> &Entries,
-                       ThreadPool *Pool) {
+                       std::vector<FunctionEntry> &Entries) {
   if (Hist.empty() || TicksPerSecond == 0)
     return 0.0;
   telemetry::Span Phase("analyzer.assign");
@@ -217,95 +179,45 @@ double assignSelfTimes(const Histogram &Hist, uint64_t TicksPerSecond,
   telemetry::counter("analyzer.assign.hist_buckets").add(Hist.numBuckets());
   const double SecPerSample = 1.0 / static_cast<double>(TicksPerSecond);
 
-  // Batched routine-major sweep over flat arrays: symbol bounds come from
-  // the resolver's SoA vectors and bucket counts from the histogram's
-  // contiguous array, so the inner loop touches three dense arrays
-  // instead of striding over Symbol objects through checked accessors.
-  // The floating-point accumulation expression and order are exactly the
-  // historical ones — only the loads got cheaper — which is what keeps
-  // the listings byte-identical (docs/ANALYZER.md).
+  // Symbol bounds come from the resolver's SoA vectors and bucket counts
+  // from the histogram's contiguous array, so the inner loop touches
+  // three dense arrays instead of striding over Symbol objects.
   const std::vector<Address> &SymStarts = Syms.starts();
   const std::vector<Address> &SymEnds = Syms.ends();
   const std::vector<uint64_t> &Counts = Hist.counts();
   const Address HistLo = Hist.lowPc();
   const Address HistHi = Hist.highPc();
   const uint64_t BSize = Hist.bucketSize();
-  const size_t NBuckets = Hist.numBuckets();
 
-  parallelChunks(
-      Pool, Syms.size(), 64, [&](size_t FnBegin, size_t FnEnd, size_t) {
-        telemetry::Span ChunkSpan("analyzer.assign.chunk");
-        for (size_t I = FnBegin; I != FnEnd; ++I) {
-          const Address SymLo = SymStarts[I];
-          const Address SymHi = SymEnds[I];
-          if (SymHi <= SymLo || SymHi <= HistLo || SymLo >= HistHi)
-            continue;
-          size_t B = SymLo > HistLo
-                         ? static_cast<size_t>((SymLo - HistLo) / BSize)
-                         : 0;
-          double Self = Entries[I].SelfTime;
-          for (; B < NBuckets; ++B) {
-            const Address Start = HistLo + static_cast<Address>(B) * BSize;
-            if (Start >= SymHi)
-              break;
-            const uint64_t Samples = Counts[B];
-            if (Samples == 0)
-              continue;
-            Address End = Start + BSize;
-            End = End < HistHi ? End : HistHi;
-            Address OverlapLo = std::max(SymLo, Start);
-            Address OverlapHi = std::min(SymHi, End);
-            if (OverlapHi <= OverlapLo)
-              continue;
-            const double BucketSeconds =
-                static_cast<double>(Samples) * SecPerSample;
-            const double BucketLen = static_cast<double>(End - Start);
-            Self += BucketSeconds *
-                    static_cast<double>(OverlapHi - OverlapLo) / BucketLen;
-          }
-          Entries[I].SelfTime = Self;
-        }
-      });
-
-  // The unattributed remainder of each bucket.  Workers fill disjoint
-  // slots of Residual; the final sum runs on one thread in bucket order,
-  // skipping unsampled buckets exactly as the bucket-major walk did.
-  std::vector<double> Residual(NBuckets, 0.0);
-  parallelChunks(
-      Pool, NBuckets, 256, [&](size_t BBegin, size_t BEnd, size_t) {
-        telemetry::Span ChunkSpan("analyzer.assign.residual");
-        for (size_t B = BBegin; B != BEnd; ++B) {
-          const uint64_t Samples = Counts[B];
-          if (Samples == 0)
-            continue;
-          const Address Start = HistLo + static_cast<Address>(B) * BSize;
-          Address End = Start + BSize;
-          End = End < HistHi ? End : HistHi;
-          const double BucketSeconds =
-              static_cast<double>(Samples) * SecPerSample;
-          const double BucketLen = static_cast<double>(End - Start);
-          double Attributed = 0.0;
-          uint32_t S = Syms.findContaining(Start);
-          if (S == NoSymbol)
-            S = Syms.findFirstAtOrAfter(Start);
-          for (uint32_t I = S; I != NoSymbol && I < Syms.size(); ++I) {
-            if (SymStarts[I] >= End)
-              break;
-            Address OverlapLo = std::max(SymStarts[I], Start);
-            Address OverlapHi = std::min(SymEnds[I], End);
-            if (OverlapHi <= OverlapLo)
-              continue;
-            Attributed += BucketSeconds *
-                          static_cast<double>(OverlapHi - OverlapLo) /
-                          BucketLen;
-          }
-          Residual[B] = BucketSeconds - Attributed;
-        }
-      });
   double Unattributed = 0.0;
-  for (size_t B = 0; B != Hist.numBuckets(); ++B)
-    if (Hist.bucketCount(B) != 0)
-      Unattributed += Residual[B];
+  for (size_t B = 0; B != Counts.size(); ++B) {
+    const uint64_t Samples = Counts[B];
+    if (Samples == 0)
+      continue;
+    const Address Start = HistLo + static_cast<Address>(B) * BSize;
+    Address End = Start + BSize;
+    End = End < HistHi ? End : HistHi;
+    const double BucketSeconds = static_cast<double>(Samples) * SecPerSample;
+    const double BucketLen = static_cast<double>(End - Start);
+    double Attributed = 0.0;
+    uint32_t S = Syms.findContaining(Start);
+    if (S == NoSymbol)
+      S = Syms.findFirstAtOrAfter(Start);
+    for (uint32_t I = S; I != NoSymbol && I < Syms.size(); ++I) {
+      if (SymStarts[I] >= End)
+        break;
+      Address OverlapLo = std::max(SymStarts[I], Start);
+      Address OverlapHi = std::min(SymEnds[I], End);
+      if (OverlapHi <= OverlapLo)
+        continue;
+      const double Share =
+          BucketSeconds * static_cast<double>(OverlapHi - OverlapLo) /
+          BucketLen;
+      Entries[I].SelfTime += Share;
+      Attributed += Share;
+    }
+    Unattributed += BucketSeconds - Attributed;
+  }
   return Unattributed;
 }
 
@@ -314,15 +226,6 @@ double assignSelfTimes(const Histogram &Hist, uint64_t TicksPerSecond,
 Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
   telemetry::Span Whole("analyzer.analyze");
   telemetry::counter("analyzer.runs").add(1);
-  // Threads == 1 runs every stage inline; otherwise the stages below
-  // dispatch chunks to this pool.  Either way the output is the same,
-  // byte for byte.
-  std::unique_ptr<ThreadPool> OwnedPool;
-  ThreadPool *Pool = nullptr;
-  if (Opts.Threads != 1) {
-    OwnedPool = std::make_unique<ThreadPool>(Opts.Threads);
-    Pool = OwnedPool.get();
-  }
 
   ProfileReport Report;
   Report.RunCount = Data.RunCount;
@@ -340,7 +243,7 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
   std::vector<FnArc> FnArcs; // Sorted by (From, To) throughout.
   std::vector<uint64_t> SelfCalls(NumFns, 0);
   std::vector<uint64_t> Spontaneous(NumFns, 0);
-  symbolizeArcs(Data.Arcs, Syms, Pool, FnArcs, SelfCalls, Spontaneous);
+  symbolizeArcs(Data.Arcs, Syms, FnArcs, SelfCalls, Spontaneous);
 
   // Binary-search lookup into the sorted arc vector; erases are O(n) but
   // only run for the handful of -k / cycle-break arcs.
@@ -434,11 +337,9 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
   }
 
   //--- Step 4: self times from the histogram. -----------------------------
-  Report.UnattributedTime = assignSelfTimes(
-      Data.Hist, Data.TicksPerSecond, Syms, Report.Functions, Pool);
-  // The unattributed gap in integer microseconds.  The double it comes
-  // from is thread-count-invariant (bucket-order reduction above), so the
-  // truncation is too.
+  Report.UnattributedTime =
+      assignSelfTimes(Data.Hist, Data.TicksPerSecond, Syms, Report.Functions);
+  // The unattributed gap in integer microseconds.
   telemetry::counter("analyzer.assign.unattributed_us")
       .add(static_cast<uint64_t>(Report.UnattributedTime * 1e6));
   // -E exclusions: drop the named routines' time before totals and
@@ -522,97 +423,53 @@ Expected<ProfileReport> Analyzer::analyze(const ProfileData &Data) const {
 
   std::vector<double> PropSelfOf(G.numArcs(), 0.0);
   std::vector<double> PropChildOf(G.numArcs(), 0.0);
-  std::vector<double> CycleChild(Report.Cycles.size(), 0.0);
-
-  // Condensed ids are in reverse topological order, so a forward sweep
-  // sees every callee before its callers: "execution time can be
-  // propagated from descendants to ancestors after a single traversal of
-  // each arc in the call graph" (§4).  One condensed node — with every
-  // member of its cycle — is always processed by a single worker in the
-  // sequential member/arc order, so each += chain (ChildTime, CycleChild)
-  // is the sequential one regardless of scheduling.
-  auto PropagateCondNode = [&](NodeId C) {
-    for (NodeId M : Cond.Members[C]) {
-      for (ArcId A : G.outArcs(M)) {
-        const Arc &Edge = G.arc(A);
-        NodeId D = Cond.CondensedOf[Edge.To];
-        if (D == C)
-          continue; // Intra-cycle arcs do not propagate.
-        if (Edge.Count == 0 || CallsOfCond[D] == 0)
-          continue; // Static arcs "are never responsible for any time
-                    // propagation" (§4).
-        double Fraction = static_cast<double>(Edge.Count) /
-                          static_cast<double>(CallsOfCond[D]);
-        double ChildSelf, ChildDesc;
-        if (Cond.isCycle(D)) {
-          // "When a child is a member of a cycle, the time shown is the
-          // appropriate fraction of the time for the whole cycle" (§5.2).
-          uint32_t CycIdx = CycleIndexOfCond[D];
-          ChildSelf = Report.Cycles[CycIdx].SelfTime;
-          ChildDesc = CycleChild[CycIdx];
-        } else {
-          const FunctionEntry &ChildFn = Report.Functions[Edge.To];
-          ChildSelf = ChildFn.SelfTime;
-          ChildDesc = ChildFn.ChildTime;
-        }
-        PropSelfOf[A] = Fraction * ChildSelf;
-        PropChildOf[A] = Fraction * ChildDesc;
-        double Inherited = PropSelfOf[A] + PropChildOf[A];
-        Report.Functions[M].ChildTime += Inherited;
-        if (Cond.isCycle(C))
-          CycleChild[CycleIndexOfCond[C]] += Inherited;
-      }
-    }
-  };
-
-  // A node's level is the longest chain of inter-component arcs below
-  // it, so every callee of a level-L node sits strictly below level L.
-  // Inter-component arcs go from higher condensed ids to lower ones, so
-  // a forward id sweep computes levels in one pass.  Both execution paths
-  // compute the levels — the parallel path needs them for its schedule,
-  // and the telemetry DAG-depth counter must be thread-count-invariant.
-  std::vector<uint32_t> Level(NumCond, 0);
-  uint32_t MaxLevel = 0;
-  for (NodeId C = 0; C != NumCond; ++C) {
-    uint32_t L = 0;
-    for (ArcId A : Cond.Dag.outArcs(C)) {
-      NodeId D = Cond.Dag.arc(A).To;
-      if (D != C)
-        L = std::max(L, Level[D] + 1);
-    }
-    Level[C] = L;
-    MaxLevel = std::max(MaxLevel, L);
-  }
-  telemetry::counter("analyzer.propagate.dag_levels")
-      .add(NumCond == 0 ? 0 : MaxLevel + 1);
   telemetry::counter("analyzer.propagate.cond_nodes").add(NumCond);
   telemetry::counter("analyzer.propagate.cycles").add(Report.Cycles.size());
   telemetry::counter("analyzer.propagate.graph_arcs").add(G.numArcs());
 
+  // Condensed ids are in reverse topological order, so a forward sweep
+  // sees every callee before its callers: "execution time can be
+  // propagated from descendants to ancestors after a single traversal of
+  // each arc in the call graph" (§4).
   {
     telemetry::Span Phase("analyzer.propagate");
     telemetry::ScopedDuration Timer(
         telemetry::histogram("analyzer.phase.latency.propagate"));
-    if (!Pool) {
-      for (NodeId C = 0; C != NumCond; ++C)
-        PropagateCondNode(C);
-    } else {
-      // Level-synchronous schedule: nodes of one level propagate
-      // concurrently; a barrier separates levels.
-      std::vector<std::vector<NodeId>> Levels(MaxLevel + 1);
-      for (NodeId C = 0; C != NumCond; ++C)
-        Levels[Level[C]].push_back(C);
-      for (const std::vector<NodeId> &Nodes : Levels)
-        parallelChunks(Pool, Nodes.size(), 8,
-                       [&](size_t Begin, size_t End, size_t) {
-                         telemetry::Span ChunkSpan("analyzer.propagate.level");
-                         for (size_t I = Begin; I != End; ++I)
-                           PropagateCondNode(Nodes[I]);
-                       });
+    for (NodeId C = 0; C != NumCond; ++C) {
+      for (NodeId M : Cond.Members[C]) {
+        for (ArcId A : G.outArcs(M)) {
+          const Arc &Edge = G.arc(A);
+          NodeId D = Cond.CondensedOf[Edge.To];
+          if (D == C)
+            continue; // Intra-cycle arcs do not propagate.
+          if (Edge.Count == 0 || CallsOfCond[D] == 0)
+            continue; // Static arcs "are never responsible for any time
+                      // propagation" (§4).
+          double Fraction = static_cast<double>(Edge.Count) /
+                            static_cast<double>(CallsOfCond[D]);
+          double ChildSelf, ChildDesc;
+          if (Cond.isCycle(D)) {
+            // "When a child is a member of a cycle, the time shown is the
+            // appropriate fraction of the time for the whole cycle"
+            // (§5.2).
+            const CycleEntry &ChildCycle = Report.Cycles[CycleIndexOfCond[D]];
+            ChildSelf = ChildCycle.SelfTime;
+            ChildDesc = ChildCycle.ChildTime;
+          } else {
+            const FunctionEntry &ChildFn = Report.Functions[Edge.To];
+            ChildSelf = ChildFn.SelfTime;
+            ChildDesc = ChildFn.ChildTime;
+          }
+          PropSelfOf[A] = Fraction * ChildSelf;
+          PropChildOf[A] = Fraction * ChildDesc;
+          double Inherited = PropSelfOf[A] + PropChildOf[A];
+          Report.Functions[M].ChildTime += Inherited;
+          if (Cond.isCycle(C))
+            Report.Cycles[CycleIndexOfCond[C]].ChildTime += Inherited;
+        }
+      }
     }
   }
-  for (size_t I = 0; I != Report.Cycles.size(); ++I)
-    Report.Cycles[I].ChildTime = CycleChild[I];
 
   //--- Step 7: report arcs and listing orders. -----------------------------
   for (ArcId A = 0; A != G.numArcs(); ++A) {

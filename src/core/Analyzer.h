@@ -26,12 +26,7 @@
 ///  7. produce the report: flat order, graph listing order with
 ///     cross-reference indices, never-called routines.
 ///
-/// Steps 1, 4 and 6 optionally run on a thread pool (AnalyzerOptions::
-/// Threads): arcs symbolize in shards, samples are assigned routine-major
-/// with one owner per routine, and propagation proceeds level by level
-/// over the condensed DAG.  Every reduction is ordered so the resulting
-/// listings are byte-identical at any thread count; docs/ANALYZER.md
-/// describes the scheme.
+/// The whole pipeline is one sequential pass on the calling thread.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -67,12 +62,7 @@ struct AnalyzerOptions {
   /// If nonzero, run the retrospective's cycle-breaking heuristic with
   /// this bound on the number of arcs it may remove.
   unsigned AutoBreakCycleBound = 0;
-  /// Worker threads for the parallel pipeline stages (arc symbolization,
-  /// histogram sample assignment, level-synchronous time propagation):
-  /// 1 runs everything inline on the calling thread, 0 uses one worker
-  /// per hardware thread.  The listings produced are byte-identical for
-  /// every value — parallelism never changes the output, only the wall
-  /// time (see docs/ANALYZER.md for the determinism contract).
+  /// Read by nothing; kept only because perfbench still assigns it.
   unsigned Threads = 1;
 };
 

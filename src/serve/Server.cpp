@@ -347,28 +347,32 @@ Error ServeServer::handleQuery(Connection &Conn, const Frame &Request) {
   if (!Merged)
     return Conn.writeError(Merged.message());
 
-  AnalyzerOptions AO;
-  AO.Threads = 1;
-  auto Report = analyzeImageProfile(*Img, Merged->Data, AO);
-  if (!Report)
-    return Conn.writeError(Report.message());
+  auto Text = renderReport(*Img, Merged->Data, Req->Flags);
+  if (!Text)
+    return Conn.writeError(Text.message());
+  telemetry::counter("serve.query.bytes_sent").add(Text->size());
+  return Conn.writeFrame(MsgType::Ok, encodeText(*Text));
+}
 
-  // Assemble exactly what `gprof-store report` prints on stdout, so a
-  // daemon-side report is byte-identical to the offline one.
+Expected<std::string> gprof::serve::renderReport(const Image &Img,
+                                                 const ProfileData &Data,
+                                                 const ReportFlags &Flags) {
+  auto Report = analyzeImageProfile(Img, Data);
+  if (!Report)
+    return Report.takeError();
   FlatPrintOptions FP;
-  FP.ShowZeroUsage = Req->Flags.ShowZero;
-  FP.Brief = Req->Flags.Brief;
+  FP.ShowZeroUsage = Flags.ShowZero;
+  FP.Brief = Flags.Brief;
   GraphPrintOptions GP;
-  GP.Brief = Req->Flags.Brief;
-  GP.PrintIndex = !Req->Flags.NoIndex;
+  GP.Brief = Flags.Brief;
+  GP.PrintIndex = !Flags.NoIndex;
 
   std::string Text;
-  if (!Req->Flags.GraphOnly)
+  if (!Flags.GraphOnly)
     Text += printFlatProfile(*Report, FP);
-  if (!Req->Flags.FlatOnly && !Req->Flags.GraphOnly)
+  if (!Flags.FlatOnly && !Flags.GraphOnly)
     Text += "\n";
-  if (!Req->Flags.FlatOnly)
+  if (!Flags.FlatOnly)
     Text += printCallGraph(*Report, GP);
-  telemetry::counter("serve.query.bytes_sent").add(Text.size());
-  return Conn.writeFrame(MsgType::Ok, encodeText(Text));
+  return Text;
 }

@@ -34,6 +34,7 @@
 #include "support/Error.h"
 #include "support/Socket.h"
 #include "support/ThreadPool.h"
+#include "vm/Image.h"
 
 #include <atomic>
 #include <memory>
@@ -140,6 +141,12 @@ private:
   /// Registry timestamp at construction, for QUERY_STATS uptime.
   uint64_t StartNs = 0;
 };
+
+/// Analyzes \p Data against \p Img and renders the flat and call-graph
+/// listings that \p Flags select.  `gprof-store report` prints this and
+/// the daemon answers QUERY_REPORT with it, so the two are byte-identical.
+Expected<std::string> renderReport(const Image &Img, const ProfileData &Data,
+                                   const ReportFlags &Flags);
 
 } // namespace serve
 } // namespace gprof

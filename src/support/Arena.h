@@ -9,14 +9,12 @@
 /// (docs/READPATH.md).  Allocation is a pointer increment into the current
 /// slab; exhausted slabs are chained and everything is released at once
 /// when the arena dies.  There is no per-object free — the intended
-/// lifetime is "one analysis phase": the symbolization shards bump their
-/// accumulator tables out of a chunk-local arena and drop the whole arena
-/// after the reduction, and the symbol table interns every routine name
-/// into one arena that lives exactly as long as the table.
+/// lifetime is "one analysis phase": symbolization bumps its accumulator
+/// table out of an arena and drops the whole arena once the arcs are
+/// sorted, and the symbol table interns every routine name into one arena
+/// that lives exactly as long as the table.
 ///
-/// Not thread-safe: each worker owns its own arena (the determinism
-/// contract in support/Parallel.h already forbids shared mutable state
-/// inside a chunk).
+/// Not thread-safe: one owner allocates from an arena at a time.
 ///
 //===----------------------------------------------------------------------===//
 

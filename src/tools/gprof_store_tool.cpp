@@ -27,9 +27,6 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/Analyzer.h"
-#include "core/FlatPrinter.h"
-#include "core/GraphPrinter.h"
 #include "gmon/GmonFile.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
@@ -88,6 +85,26 @@ bool parseJobs(OptionParser &Opts, unsigned &Jobs) {
     Jobs = static_cast<unsigned>(N);
   }
   return true;
+}
+
+/// Declares the listing flags `report` and `query` share.
+void addReportFlags(OptionParser &Opts) {
+  Opts.addFlag("brief", 'b', "suppress field descriptions");
+  Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
+  Opts.addFlag("flat-only", 0, "print only the flat profile");
+  Opts.addFlag("graph-only", 0, "print only the call graph profile");
+  Opts.addFlag("no-index", 0, "omit the index-by-name table");
+}
+
+/// Reads back the flags addReportFlags declared.
+serve::ReportFlags reportFlags(const OptionParser &Opts) {
+  serve::ReportFlags Flags;
+  Flags.FlatOnly = Opts.hasFlag("flat-only");
+  Flags.GraphOnly = Opts.hasFlag("graph-only");
+  Flags.Brief = Opts.hasFlag("brief");
+  Flags.NoIndex = Opts.hasFlag("no-index");
+  Flags.ShowZero = Opts.hasFlag("zero");
+  return Flags;
 }
 
 /// Parses an optional u64 value (capture-time nanoseconds); false on
@@ -257,13 +274,8 @@ int cmdReport(int Argc, const char *const *Argv) {
                     "print gprof listings for a merged aggregate");
   Opts.setPositionalHelp("STORE image.tlx [DIGEST-PREFIX ...]");
   Opts.addOption("jobs", 'j', "N",
-                 "worker threads for the merge tree and the analysis "
-                 "pipeline (0 = one per core)");
-  Opts.addFlag("brief", 'b', "suppress field descriptions");
-  Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
-  Opts.addFlag("flat-only", 0, "print only the flat profile");
-  Opts.addFlag("graph-only", 0, "print only the call graph profile");
-  Opts.addFlag("no-index", 0, "omit the index-by-name table");
+                 "worker threads for the merge tree (0 = one per core)");
+  addReportFlags(Opts);
   Opts.addOption("since", 0, "NS",
                  "only shards captured at or after this time (nanoseconds "
                  "since the epoch)");
@@ -338,25 +350,10 @@ int cmdReport(int Argc, const char *const *Argv) {
                  Result->MemberCount, Result->InputsMerged, Result->RunsUsed,
                  Result->InputsMerged - Result->RunsUsed);
 
-  AnalyzerOptions AO;
-  AO.Threads = Jobs; // Byte-identical listings at any width (0 = cores).
-  auto Report = analyzeImageProfile(*Img, Result->Data, AO);
-  if (!Report)
-    return fail(Report.message());
-
-  FlatPrintOptions FP;
-  FP.ShowZeroUsage = Opts.hasFlag("zero");
-  FP.Brief = Opts.hasFlag("brief");
-  GraphPrintOptions GP;
-  GP.Brief = Opts.hasFlag("brief");
-  GP.PrintIndex = !Opts.hasFlag("no-index");
-
-  if (!Opts.hasFlag("graph-only"))
-    std::printf("%s", printFlatProfile(*Report, FP).c_str());
-  if (!Opts.hasFlag("flat-only") && !Opts.hasFlag("graph-only"))
-    std::printf("\n");
-  if (!Opts.hasFlag("flat-only"))
-    std::printf("%s", printCallGraph(*Report, GP).c_str());
+  auto Text = serve::renderReport(*Img, Result->Data, reportFlags(Opts));
+  if (!Text)
+    return fail(Text.message());
+  std::fputs(Text->c_str(), stdout);
   maybeDumpStats(Opts);
   return 0;
 }
@@ -587,11 +584,7 @@ int cmdQuery(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store query",
                     "fetch gprof listings from a serve daemon");
   Opts.setPositionalHelp("SOCKET image.tlx [DIGEST-PREFIX ...]");
-  Opts.addFlag("brief", 'b', "suppress field descriptions");
-  Opts.addFlag("zero", 'z', "show zero-time zero-call routines as rows");
-  Opts.addFlag("flat-only", 0, "print only the flat profile");
-  Opts.addFlag("graph-only", 0, "print only the call graph profile");
-  Opts.addFlag("no-index", 0, "omit the index-by-name table");
+  addReportFlags(Opts);
   Opts.addFlag("list", 'l', "list the daemon's shards instead of reporting");
   Opts.addOption("retries", 0, "N",
                  "extra attempts after a transient failure (default 2)");
@@ -633,11 +626,7 @@ int cmdQuery(int Argc, const char *const *Argv) {
     return fail("expected a socket path and an image path");
   serve::QueryReportRequest Req;
   Req.ImagePath = Opts.positional()[1];
-  Req.Flags.FlatOnly = Opts.hasFlag("flat-only");
-  Req.Flags.GraphOnly = Opts.hasFlag("graph-only");
-  Req.Flags.Brief = Opts.hasFlag("brief");
-  Req.Flags.NoIndex = Opts.hasFlag("no-index");
-  Req.Flags.ShowZero = Opts.hasFlag("zero");
+  Req.Flags = reportFlags(Opts);
 
   // Digest prefixes resolve client-side against the daemon's index, with
   // the same uniqueness rules as ProfileStore::resolve.

@@ -33,6 +33,7 @@
 #include "vm/ParallelRun.h"
 #include "vm/VM.h"
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -99,7 +100,8 @@ int main(int Argc, char **Argv) {
     telemetry::Registry::instance().setCurrentThreadName("main");
   }
 
-  auto ParseU64 = [&](const char *Name, uint64_t Default) -> uint64_t {
+  auto ParseU64 = [&](const char *Name, uint64_t Default,
+                      uint64_t Max = UINT64_MAX) -> uint64_t {
     auto V = Opts.getValue(Name);
     if (!V)
       return Default;
@@ -107,6 +109,12 @@ int main(int Argc, char **Argv) {
     if (!parseUInt64(*V, Parsed) || Parsed == 0) {
       std::fprintf(stderr, "tlrun: invalid --%s value '%s'\n", Name,
                    V->c_str());
+      std::exit(1);
+    }
+    if (Parsed > Max) {
+      std::fprintf(stderr, "tlrun: --%s value '%s' is out of range (at most "
+                           "%llu)\n",
+                   Name, V->c_str(), static_cast<unsigned long long>(Max));
       std::exit(1);
     }
     return Parsed;
@@ -126,8 +134,8 @@ int main(int Argc, char **Argv) {
   MO.SampleHistogram = !Opts.hasFlag("no-sample");
   MO.RecordArcs = !Opts.hasFlag("no-arcs");
   MO.RecordContexts = Opts.hasFlag("contexts");
-  MO.CctNodeLimit =
-      static_cast<uint32_t>(ParseU64("cct-node-limit", 1u << 20));
+  MO.CctNodeLimit = static_cast<uint32_t>(
+      ParseU64("cct-node-limit", 1u << 20, UINT32_MAX));
   if (auto Table = Opts.getValue("table")) {
     if (*Table == "bsd") {
       MO.TableKind = ArcTableKind::Bsd;
@@ -142,7 +150,9 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  uint64_t ThreadCount = ParseU64("threads", 1);
+  // The bound gprof-store puts on its --jobs worker counts.
+  const unsigned ThreadCount =
+      static_cast<unsigned>(ParseU64("threads", 1, 1024));
   if (ThreadCount > 1 && Opts.hasFlag("stack")) {
     std::fprintf(stderr, "tlrun: --stack is single-threaded; it cannot be "
                          "combined with --threads\n");
@@ -162,9 +172,7 @@ int main(int Argc, char **Argv) {
   if (ThreadCount > 1) {
     // The concurrent workload: every thread runs the image's entry
     // function on its own VM, all feeding the one shared Monitor.
-    auto Results =
-        runOnThreads(*Img, VO, Mon.get(),
-                     static_cast<unsigned>(ThreadCount));
+    auto Results = runOnThreads(*Img, VO, Mon.get(), ThreadCount);
     if (!Results) {
       std::fprintf(stderr, "tlrun: %s\n", Results.message().c_str());
       return 1;
@@ -180,9 +188,9 @@ int main(int Argc, char **Argv) {
       Ticks += R.Ticks;
     }
     std::fprintf(stderr,
-                 "tlrun: %llu threads, exit value %lld, %llu instructions, "
+                 "tlrun: %u threads, exit value %lld, %llu instructions, "
                  "%llu cycles, %llu ticks\n",
-                 static_cast<unsigned long long>(ThreadCount),
+                 ThreadCount,
                  static_cast<long long>(Results->front().ExitValue),
                  static_cast<unsigned long long>(Instructions),
                  static_cast<unsigned long long>(Cycles),

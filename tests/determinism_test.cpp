@@ -1,34 +1,37 @@
-//===- tests/determinism_test.cpp - Thread-count invariance of listings ---===//
+//===- tests/determinism_test.cpp - The analyzer pinned bit for bit -------===//
 //
 // Part of the gprof-repro project.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The analyzer's determinism contract: flat and call-graph listings are
-/// byte-identical for every AnalyzerOptions::Threads value (docs/
-/// ANALYZER.md).  Checked over the golden corpus programs and over a
-/// large synthetic profile built to stress every parallel stage — deep
-/// cycles for the level-synchronous propagation, histogram buckets that
-/// straddle routine boundaries for the routine-major sample assignment,
-/// and spontaneous callers plus address gaps for the symbolization
-/// shards and the residual reduction.
+/// Pins the §4 analyzer's output across commits: SHA-256 digests of the
+/// listings, and of the exact bit patterns of every propagated quantity,
+/// for large synthetic profiles that combine deep cycles, histogram
+/// buckets straddling routine boundaries, address gaps and spontaneous
+/// callers at scale.  The digests were recorded from the analyzer as it
+/// stood when its parallel stages were removed, so any change to a
+/// floating-point expression, its operand order or a reduction order
+/// shows up here.  The golden suite pins the corpus programs' listings;
+/// these cover the shapes the corpus is too small to reach.
+///
+/// On a mismatch the rendered text is written to a temp file (the path is
+/// in the failure message) so it can be diffed against a known-good build.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "core/Analyzer.h"
 #include "core/FlatPrinter.h"
 #include "core/GraphPrinter.h"
-#include "gmon/GmonFile.h"
-#include "runtime/Monitor.h"
 #include "support/FileUtils.h"
+#include "support/Format.h"
 #include "support/Random.h"
-#include "vm/CodeGen.h"
-#include "vm/VM.h"
+#include "support/Sha256.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <vector>
 
@@ -36,40 +39,11 @@ using namespace gprof;
 
 namespace {
 
-/// The thread counts every scenario is checked at; 1 is the sequential
-/// reference, 0 means one worker per hardware thread.
-const unsigned ThreadCounts[] = {1, 2, 4, 8, 0};
-
-std::string renderListings(const ProfileReport &R) {
-  return printFlatProfile(R) + "\n" + printCallGraph(R);
-}
-
-/// Analyzes the same inputs at every thread count and expects identical
-/// listings.
-void expectThreadInvariant(const SymbolTable &Syms, const ProfileData &Data,
-                           AnalyzerOptions BaseOpts,
-                           const std::vector<StaticArc> &StaticArcs = {}) {
-  std::string Reference;
-  for (unsigned Threads : ThreadCounts) {
-    AnalyzerOptions Opts = BaseOpts;
-    Opts.Threads = Threads;
-    Analyzer An(Syms, Opts);
-    An.setStaticArcs(StaticArcs);
-    std::string Listings = renderListings(cantFail(An.analyze(Data)));
-    if (Threads == 1)
-      Reference = std::move(Listings);
-    else
-      EXPECT_EQ(Listings, Reference)
-          << "listing diverged at Threads = " << Threads;
-  }
-  ASSERT_FALSE(Reference.empty());
-}
-
-/// A synthetic profile large enough that every parallel stage actually
-/// chunks: irregular routine sizes (so fixed-size histogram buckets
-/// straddle routine boundaries and address gaps leave unattributed
-/// samples), rings of mutual recursion up to 40 deep, self calls, and
-/// spontaneous activations from outside the text range.
+/// A synthetic profile with irregular routine sizes (so fixed-size
+/// histogram buckets straddle routine boundaries and address gaps leave
+/// unattributed samples), rings of mutual recursion up to 40 deep, self
+/// calls, spontaneous activations from outside the text range, and
+/// static-only arcs.
 struct BigProfile {
   SymbolTable Syms;
   ProfileData Data;
@@ -130,43 +104,66 @@ BigProfile makeBigProfile(uint32_t NumFns, uint64_t Seed) {
   return P;
 }
 
-/// Compiles and profiles one corpus program under the golden_test
-/// settings, so the reference listing here is the one the golden suite
-/// pins against the pre-parallel analyzer.
-void runCorpusProgram(const std::string &Name, SymbolTable &Syms,
-                      ProfileData &Data) {
-  std::string Path = std::string(TL_CORPUS_DIR) + "/" + Name;
-  std::string Source = cantFail(readFileText(Path));
-  CodeGenOptions CG;
-  CG.EnableProfiling = true;
-  Image Img = compileTLOrDie(Source, CG);
-  Monitor Mon(Img.lowPc(), Img.highPc());
-  VMOptions VO;
-  VO.CyclesPerTick = 997;
-  VM Machine(Img, VO);
-  Machine.setHooks(&Mon);
-  cantFail(Machine.run());
-  Data = cantFail(readGmon(writeGmon(Mon.finish())));
-  Syms = SymbolTable::fromImage(Img);
+std::string renderListings(const ProfileReport &R) {
+  return printFlatProfile(R) + "\n" + printCallGraph(R);
 }
 
-TEST(DeterminismTest, GoldenCorpusPrimes) {
-  SymbolTable Syms;
-  ProfileData Data;
-  runCorpusProgram("primes.tl", Syms, Data);
-  expectThreadInvariant(Syms, Data, AnalyzerOptions());
+/// Every propagated quantity of \p R, one line per entry, doubles as
+/// their exact bit patterns.
+std::string renderInternals(const ProfileReport &R) {
+  auto Bits = [](double V) {
+    return format("%016llx",
+                  static_cast<unsigned long long>(std::bit_cast<uint64_t>(V)));
+  };
+  std::string Out;
+  for (size_t I = 0; I != R.Functions.size(); ++I) {
+    const FunctionEntry &F = R.Functions[I];
+    Out += format("fn %zu self %s child %s calls %llu listing %u\n", I,
+                  Bits(F.SelfTime).c_str(), Bits(F.ChildTime).c_str(),
+                  static_cast<unsigned long long>(F.Calls), F.ListingIndex);
+  }
+  for (const CycleEntry &C : R.Cycles) {
+    Out += format("cycle %u self %s child %s external %llu internal %llu "
+                  "listing %u members",
+                  C.Number, Bits(C.SelfTime).c_str(), Bits(C.ChildTime).c_str(),
+                  static_cast<unsigned long long>(C.ExternalCalls),
+                  static_cast<unsigned long long>(C.InternalCalls),
+                  C.ListingIndex);
+    for (uint32_t M : C.Members)
+      Out += format(" %u", M);
+    Out += "\n";
+  }
+  for (const ReportArc &A : R.Arcs)
+    Out += format("arc %u %u count %llu propself %s propchild %s\n", A.Parent,
+                  A.Child, static_cast<unsigned long long>(A.Count),
+                  Bits(A.PropSelf).c_str(), Bits(A.PropChild).c_str());
+  Out += format("total %s unattributed %s\n", Bits(R.TotalTime).c_str(),
+                Bits(R.UnattributedTime).c_str());
+  return Out;
 }
 
-TEST(DeterminismTest, GoldenCorpusCalculatorWithCycle) {
-  SymbolTable Syms;
-  ProfileData Data;
-  runCorpusProgram("calculator.tl", Syms, Data);
-  expectThreadInvariant(Syms, Data, AnalyzerOptions());
+/// Expects \p Text to hash to \p ExpectedHex; on a mismatch, saves the
+/// text as \p Name under the test temp directory for diffing.
+void expectDigest(const std::string &Text, const std::string &ExpectedHex,
+                  const std::string &Name) {
+  std::string Actual = digestToHex(Sha256::hash(
+      reinterpret_cast<const uint8_t *>(Text.data()), Text.size()));
+  if (Actual == ExpectedHex)
+    return;
+  std::string Path = testing::TempDir() + Name;
+  Error E = writeFileText(Path, Text);
+  ADD_FAILURE() << Name << " digest " << Actual << ", expected "
+                << ExpectedHex << "; "
+                << (E ? "could not save it: " + E.message()
+                      : "saved to " + Path);
 }
 
 TEST(DeterminismTest, LargeSyntheticProfile) {
   BigProfile P = makeBigProfile(3000, /*Seed=*/0xfeed);
-  expectThreadInvariant(P.Syms, P.Data, AnalyzerOptions());
+  ProfileReport R = cantFail(Analyzer(P.Syms).analyze(P.Data));
+  expectDigest(renderListings(R),
+               "1203b65874cb03a893ec62a22d07a0fcda12391e104e08084d31a823200bdf0e",
+               "feed_3000_listings.txt");
 }
 
 TEST(DeterminismTest, LargeSyntheticWithStaticArcsAndCycleBreaking) {
@@ -175,39 +172,22 @@ TEST(DeterminismTest, LargeSyntheticWithStaticArcsAndCycleBreaking) {
   Opts.UseStaticArcs = true;
   Opts.AutoBreakCycleBound = 3;
   Opts.ExcludeTimeOf = {"fn10"};
-  expectThreadInvariant(P.Syms, P.Data, Opts, P.StaticArcs);
+  Analyzer An(P.Syms, Opts);
+  An.setStaticArcs(P.StaticArcs);
+  ProfileReport R = cantFail(An.analyze(P.Data));
+  expectDigest(renderListings(R),
+               "84c0624654423eaf166965253bbc78829c910fb9fa205d2f683596a99c3c88c4",
+               "beef_1500_listings.txt");
 }
 
-TEST(DeterminismTest, ReportInternalsMatchAcrossThreadCounts) {
-  // Beyond the listings: propagated times, cycle aggregates and listing
-  // indices must agree exactly between the sequential and pooled runs.
+TEST(DeterminismTest, ReportInternalsMatchRecordedBits) {
+  // Beyond the listings, which round to two decimals: every propagated
+  // time, cycle aggregate and listing index, bit for bit.
   BigProfile P = makeBigProfile(800, /*Seed=*/0xabcd);
-  AnalyzerOptions Seq;
-  ProfileReport A = cantFail(Analyzer(P.Syms, Seq).analyze(P.Data));
-  AnalyzerOptions Par;
-  Par.Threads = 8;
-  ProfileReport B = cantFail(Analyzer(P.Syms, Par).analyze(P.Data));
-
-  ASSERT_EQ(A.Functions.size(), B.Functions.size());
-  for (size_t I = 0; I != A.Functions.size(); ++I) {
-    EXPECT_EQ(A.Functions[I].SelfTime, B.Functions[I].SelfTime) << I;
-    EXPECT_EQ(A.Functions[I].ChildTime, B.Functions[I].ChildTime) << I;
-    EXPECT_EQ(A.Functions[I].Calls, B.Functions[I].Calls) << I;
-    EXPECT_EQ(A.Functions[I].ListingIndex, B.Functions[I].ListingIndex) << I;
-  }
-  ASSERT_EQ(A.Cycles.size(), B.Cycles.size());
-  for (size_t I = 0; I != A.Cycles.size(); ++I) {
-    EXPECT_EQ(A.Cycles[I].SelfTime, B.Cycles[I].SelfTime) << I;
-    EXPECT_EQ(A.Cycles[I].ChildTime, B.Cycles[I].ChildTime) << I;
-    EXPECT_EQ(A.Cycles[I].Members, B.Cycles[I].Members) << I;
-  }
-  ASSERT_EQ(A.Arcs.size(), B.Arcs.size());
-  for (size_t I = 0; I != A.Arcs.size(); ++I) {
-    EXPECT_EQ(A.Arcs[I].PropSelf, B.Arcs[I].PropSelf) << I;
-    EXPECT_EQ(A.Arcs[I].PropChild, B.Arcs[I].PropChild) << I;
-  }
-  EXPECT_EQ(A.TotalTime, B.TotalTime);
-  EXPECT_EQ(A.UnattributedTime, B.UnattributedTime);
+  ProfileReport R = cantFail(Analyzer(P.Syms).analyze(P.Data));
+  expectDigest(renderInternals(R),
+               "06c3d11408330f77d963ab93151ba3d30edf73eab34119b2c2a1d10f191ea759",
+               "abcd_800_internals.txt");
 }
 
 } // namespace

@@ -488,9 +488,7 @@ TEST_F(ServeTest, DaemonReportMatchesOfflineAfterConcurrentPush) {
   EXPECT_EQ(Merged->Data.RunCount, Digests.size());
   auto Img = Image::loadFromFile(*ImgPath);
   ASSERT_TRUE(static_cast<bool>(Img));
-  AnalyzerOptions AO;
-  AO.Threads = 1;
-  auto Report = analyzeImageProfile(*Img, Merged->Data, AO);
+  auto Report = analyzeImageProfile(*Img, Merged->Data);
   ASSERT_TRUE(static_cast<bool>(Report));
   std::string Offline = printFlatProfile(*Report, FlatPrintOptions{});
   Offline += "\n";
@@ -906,13 +904,21 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
   EXPECT_NE(Out.find(Digest.substr(0, 12)), std::string::npos) << Out;
 
   // The daemon-side report is byte-identical to the offline CLI report
-  // over the same store.
-  std::string ViaDaemon, Offline;
-  Rc = runCommandStdout(format("%s query %s %s --flat-only",
-                               GPROF_STORE_PATH, SocketPath.c_str(),
-                               ImgPath->c_str()),
-                        ViaDaemon);
-  ASSERT_EQ(Rc, 0) << ViaDaemon;
+  // over the same store, under each listing flag.
+  const std::vector<std::string> FlagSets = {"--flat-only", "--brief",
+                                             "--graph-only", "--no-index",
+                                             "-z"};
+  std::vector<std::string> ViaDaemon(FlagSets.size());
+  for (size_t I = 0; I != FlagSets.size(); ++I) {
+    Rc = runCommandStdout(format("%s query %s %s %s", GPROF_STORE_PATH,
+                                 SocketPath.c_str(), ImgPath->c_str(),
+                                 FlagSets[I].c_str()),
+                          ViaDaemon[I]);
+    ASSERT_EQ(Rc, 0) << FlagSets[I] << ": " << ViaDaemon[I];
+  }
+  EXPECT_EQ(std::set<std::string>(ViaDaemon.begin(), ViaDaemon.end()).size(),
+            FlagSets.size())
+      << "every flag should change the listing";
 
   // Clean daemon shutdown on SIGTERM, releasing the socket and store.
   ASSERT_EQ(::kill(DaemonPid, SIGTERM), 0);
@@ -920,12 +926,15 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   EXPECT_FALSE(fileExists(SocketPath)) << "daemon did not shut down";
 
-  Rc = runCommandStdout(format("%s report --flat-only %s %s",
-                               GPROF_STORE_PATH, StoreRoot.c_str(),
-                               ImgPath->c_str()),
-                        Offline);
-  ASSERT_EQ(Rc, 0) << Offline;
-  EXPECT_EQ(ViaDaemon, Offline);
+  for (size_t I = 0; I != FlagSets.size(); ++I) {
+    std::string Offline;
+    Rc = runCommandStdout(format("%s report %s %s %s", GPROF_STORE_PATH,
+                                 StoreRoot.c_str(), ImgPath->c_str(),
+                                 FlagSets[I].c_str()),
+                          Offline);
+    ASSERT_EQ(Rc, 0) << FlagSets[I] << ": " << Offline;
+    EXPECT_EQ(ViaDaemon[I], Offline) << FlagSets[I];
+  }
 
   // Unreachable daemon: tlrun --push is a clean nonzero exit with a
   // diagnostic, and so is gprof-store push.
