@@ -36,6 +36,7 @@
 #include "prof/ProfBaseline.h"
 #include "support/Random.h"
 #include "support/Telemetry.h"
+#include "tests/reference_gmon.h"
 
 #include <algorithm>
 #include <cmath>

@@ -19,15 +19,21 @@
 /// caller and a few times expensively by another — and compares:
 ///
 ///  - gprof's propagation (time split by call counts),
-///  - the stack-sampling profiler (exact attribution),
-///  - ground truth from exhaustive (every-cycle) stack sampling.
+///  - the calling-context tree (the complete call stacks, aggregated per
+///    path: exact attribution),
+///  - ground truth from a context tree sampled on every cycle.
+///
+/// A caller's share of process's time is the inclusive ticks of process's
+/// contexts whose parent context runs that caller.  The gprof and context
+/// rows come from one run: recording contexts leaves the arcs and the
+/// histogram unchanged.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
+#include "core/ContextTree.h"
 #include "runtime/Monitor.h"
-#include "stackprof/StackProfiler.h"
 #include "vm/CodeGen.h"
 #include "vm/VM.h"
 
@@ -67,15 +73,22 @@ struct Attribution {
   double ExpensiveShare = 0.0; // ... and to expensive_caller.
 };
 
-/// gprof's answer: per-arc propagated time from the analyzer.
-Attribution gprofAttribution(const Image &Img, uint64_t CyclesPerTick) {
-  Monitor Mon(Img.lowPc(), Img.highPc());
+/// One profiled run with the calling-context tree recorded.
+ProfileData runWithContexts(const Image &Img, uint64_t CyclesPerTick) {
+  MonitorOptions MO;
+  MO.RecordContexts = true;
+  Monitor Mon(Img.lowPc(), Img.highPc(), MO);
   VMOptions VO;
   VO.CyclesPerTick = CyclesPerTick;
   VM Machine(Img, VO);
   Machine.setHooks(&Mon);
   cantFail(Machine.run());
-  ProfileReport R = cantFail(analyzeImageProfile(Img, Mon.finish()));
+  return Mon.finish();
+}
+
+/// gprof's answer: per-arc propagated time from the analyzer.
+Attribution gprofAttribution(const Image &Img, const ProfileData &Data) {
+  ProfileReport R = cantFail(analyzeImageProfile(Img, Data));
 
   uint32_t Process = R.findFunction("process");
   uint32_t Cheap = R.findFunction("cheap_caller");
@@ -93,21 +106,28 @@ Attribution gprofAttribution(const Image &Img, uint64_t CyclesPerTick) {
   return {CheapTime / Total, ExpensiveTime / Total};
 }
 
-/// The stack sampler's answer: per-adjacency sampled time.
-Attribution stackAttribution(const Image &Img, uint64_t CyclesPerTick,
-                             uint64_t &SamplesOut) {
-  StackSampleProfiler Prof;
-  VMOptions VO;
-  VO.CyclesPerTick = CyclesPerTick;
-  VM Machine(Img, VO);
-  Machine.setHooks(&Prof);
-  cantFail(Machine.run());
-  SamplesOut = Prof.sampleCount();
-  StackProfile P = Prof.buildProfile(SymbolTable::fromImage(Img));
-  double CheapTime = P.arcTime("cheap_caller", "process");
-  double ExpensiveTime = P.arcTime("expensive_caller", "process");
-  double Total = CheapTime + ExpensiveTime;
-  return {CheapTime / Total, ExpensiveTime / Total};
+/// The context tree's answer: the inclusive ticks of process's contexts,
+/// grouped by the routine of each context's parent.  Only maximal
+/// contexts count, so a recursive callee's ticks count once.
+Attribution contextAttribution(const Image &Img, const ProfileData &Data) {
+  SymbolTable Syms = SymbolTable::fromImage(Img);
+  ContextTree Tree = cantFail(ContextTree::build(Data, Syms));
+  const uint32_t Cheap = Syms.findByName("cheap_caller");
+  const uint32_t Expensive = Syms.findByName("expensive_caller");
+  uint64_t CheapTicks = 0, ExpensiveTicks = 0;
+  for (uint32_t I : Tree.contextsOf(Syms.findByName("process"))) {
+    const ContextEntry &E = Tree.node(I);
+    if (!E.Maximal || E.Parent == CctRootParent)
+      continue;
+    const uint32_t Caller = Tree.node(E.Parent).Routine;
+    if (Caller == Cheap)
+      CheapTicks += E.InclusiveTicks;
+    else if (Caller == Expensive)
+      ExpensiveTicks += E.InclusiveTicks;
+  }
+  double Total = static_cast<double>(CheapTicks + ExpensiveTicks);
+  return {static_cast<double>(CheapTicks) / Total,
+          static_cast<double>(ExpensiveTicks) / Total};
 }
 
 } // namespace
@@ -121,11 +141,10 @@ int main() {
   CG.EnableProfiling = true;
   Image Img = compileTLOrDie(WorkloadSource, CG);
 
-  uint64_t TruthSamples = 0;
-  Attribution Truth = stackAttribution(Img, 1, TruthSamples);
-  Attribution Gprof = gprofAttribution(Img, 97);
-  uint64_t StackSamples = 0;
-  Attribution Stack = stackAttribution(Img, 97, StackSamples);
+  Attribution Truth = contextAttribution(Img, runWithContexts(Img, 1));
+  ProfileData Sampled = runWithContexts(Img, 97);
+  Attribution Gprof = gprofAttribution(Img, Sampled);
+  Attribution Contexts = contextAttribution(Img, Sampled);
 
   std::printf("\nwho is responsible for process()'s time?\n"
               "(cheap_caller makes 90 tiny calls; expensive_caller makes "
@@ -137,8 +156,8 @@ int main() {
   row({"gprof (count-split)", formatPercent(Gprof.CheapShare, 1.0) + "%",
        formatPercent(Gprof.ExpensiveShare, 1.0) + "%"},
       20);
-  row({"stack sampling", formatPercent(Stack.CheapShare, 1.0) + "%",
-       formatPercent(Stack.ExpensiveShare, 1.0) + "%"},
+  row({"calling contexts", formatPercent(Contexts.CheapShare, 1.0) + "%",
+       formatPercent(Contexts.ExpensiveShare, 1.0) + "%"},
       20);
 
   std::printf("\nchecks against the paper:\n");
@@ -148,7 +167,8 @@ int main() {
   Ok &= check(Gprof.CheapShare > 0.90,
               "gprof distributes by call count (90/92) and so charges the "
               "cheap caller — the documented average-time pitfall");
-  Ok &= check(std::fabs(Stack.ExpensiveShare - Truth.ExpensiveShare) < 0.05,
+  Ok &= check(std::fabs(Contexts.ExpensiveShare - Truth.ExpensiveShare) <
+                  0.05,
               "complete call stacks attribute within 5pp of ground truth "
               "(the retrospective's 'modern profilers' fix)");
   return Ok ? 0 : 1;

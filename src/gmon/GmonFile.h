@@ -94,20 +94,12 @@ Expected<ProfileData> readGmon(const std::vector<uint8_t> &Bytes,
 /// records are decoded directly out of the caller's bytes (typically a
 /// support/MappedFile view) with no intermediate buffer.  All readGmon
 /// overloads route here; errors, salvage tallies, and the resulting
-/// ProfileData are identical to readGmonReference by contract
-/// (docs/READPATH.md), pinned by the differential corpus test.
+/// ProfileData are identical by contract (docs/READPATH.md) to the
+/// original BinaryStream reader, now the test oracle in
+/// tests/reference_gmon.h, pinned by the differential corpus test.
 Expected<ProfileData> readGmon(const uint8_t *Data, size_t Size,
                                const GmonReadOptions &Opts = {},
                                GmonSalvage *Salvage = nullptr);
-
-/// The original BinaryStream-based reader, kept as the reference
-/// implementation for differential testing: tests/readpath_test.cpp runs
-/// the whole corrupted-gmon corpus through both readers and requires
-/// bit-identical results, so salvage semantics can never drift between
-/// them.  Production code should call readGmon.
-Expected<ProfileData> readGmonReference(const std::vector<uint8_t> &Bytes,
-                                        const GmonReadOptions &Opts = {},
-                                        GmonSalvage *Salvage = nullptr);
 
 /// Writes \p Data to the file at \p Path via write-then-rename, so a
 /// crash mid-write never tears an existing profile.

@@ -9,18 +9,13 @@
 #include "support/Format.h"
 #include "support/Telemetry.h"
 
+#include <algorithm>
+
 using namespace gprof;
 
-ThreadPool::ThreadPool(unsigned NumThreads) {
-  if (NumThreads == 0) {
-    NumThreads = std::thread::hardware_concurrency();
-    if (NumThreads == 0)
-      NumThreads = 1;
-  }
-  telemetry::gauge("threadpool.workers_spawned").add(NumThreads);
-  Workers.reserve(NumThreads);
-  for (unsigned I = 0; I != NumThreads; ++I)
-    Workers.emplace_back([this, I] { workerLoop(I); });
+ThreadPool::ThreadPool(unsigned NumThreads) : Width(NumThreads) {
+  if (Width == 0)
+    Width = std::max(1u, std::thread::hardware_concurrency());
 }
 
 ThreadPool::~ThreadPool() {
@@ -41,12 +36,23 @@ void ThreadPool::enqueue(std::function<void()> Job) {
       telemetry::gauge("threadpool.jobs.queued");
   static telemetry::Metric &MaxDepth =
       telemetry::gauge("threadpool.queue.max_depth");
+  static telemetry::Metric &Spawned =
+      telemetry::gauge("threadpool.workers_spawned");
   size_t Depth;
+  bool Started = false;
   {
     std::unique_lock<std::mutex> Lock(Mutex);
+    if (Workers.empty()) {
+      Workers.reserve(Width);
+      for (unsigned I = 0; I != Width; ++I)
+        Workers.emplace_back([this, I] { workerLoop(I); });
+      Started = true;
+    }
     Queue.push_back(std::move(Job));
     Depth = Queue.size();
   }
+  if (Started)
+    Spawned.add(Width);
   JobsQueued.add(1);
   MaxDepth.max(Depth);
   WorkAvailable.notify_one();

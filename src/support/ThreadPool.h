@@ -7,6 +7,9 @@
 /// \file
 /// A small fixed-size thread pool in the LLVM ThreadPool mold: jobs are
 /// queued, workers drain the queue, and async() hands back a std::future.
+/// Workers start on the first async(), so a pool that is built but never
+/// handed a job (a merge the aggregate cache answers, a fold too small to
+/// split) costs no thread.
 /// The profile store's parallel merge tree runs on it; consumers that need
 /// deterministic output must make their reduction order-independent (exact
 /// integer arithmetic + canonical final ordering) rather than rely on any
@@ -33,8 +36,8 @@ namespace gprof {
 /// Fixed-size worker pool.  Destruction waits for every queued job.
 class ThreadPool {
 public:
-  /// Spawns \p NumThreads workers; 0 means one per hardware thread
-  /// (at least one).
+  /// A pool of \p NumThreads workers, spawned by the first async(); 0
+  /// means one per hardware thread (at least one).
   explicit ThreadPool(unsigned NumThreads = 0);
 
   /// Drains the queue, then joins the workers.
@@ -43,8 +46,8 @@ public:
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
 
-  /// Number of worker threads.
-  unsigned size() const { return static_cast<unsigned>(Workers.size()); }
+  /// Number of worker threads, whether or not they have started.
+  unsigned size() const { return Width; }
 
   /// Queues \p Fn and returns a future for its result.
   template <typename Fn>
@@ -64,6 +67,8 @@ private:
   void enqueue(std::function<void()> Job);
   void workerLoop(unsigned WorkerIndex);
 
+  unsigned Width;
+  /// Empty until the first job is queued.
   std::vector<std::thread> Workers;
   std::deque<std::function<void()>> Queue;
   std::mutex Mutex;

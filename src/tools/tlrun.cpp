@@ -18,11 +18,9 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/SymbolTable.h"
 #include "gmon/GmonFile.h"
 #include "runtime/Monitor.h"
 #include "serve/Client.h"
-#include "stackprof/StackProfiler.h"
 #include "support/CommandLine.h"
 #include "support/FileUtils.h"
 #include "support/Format.h"
@@ -64,9 +62,6 @@ int main(int Argc, char **Argv) {
                  "per-thread context-tree node budget (default 1048576)");
   Opts.addFlag("force-monitor", 0,
                "attach the monitor even if nothing was compiled with --pg");
-  Opts.addFlag("stack", 's',
-               "use complete-call-stack sampling instead of the gprof "
-               "monitor and print exact self/inclusive times");
   Opts.addOption("push", 'p', "SOCKET",
                  "also upload the profile to the gprof-store serve daemon "
                  "listening on SOCKET");
@@ -153,18 +148,9 @@ int main(int Argc, char **Argv) {
   // The bound gprof-store puts on its --jobs worker counts.
   const unsigned ThreadCount =
       static_cast<unsigned>(ParseU64("threads", 1, 1024));
-  if (ThreadCount > 1 && Opts.hasFlag("stack")) {
-    std::fprintf(stderr, "tlrun: --stack is single-threaded; it cannot be "
-                         "combined with --threads\n");
-    return 1;
-  }
 
   std::unique_ptr<Monitor> Mon;
-  std::unique_ptr<StackSampleProfiler> StackProf;
-  if (Opts.hasFlag("stack")) {
-    StackProf = std::make_unique<StackSampleProfiler>(MO.TicksPerSecond);
-    Machine.setHooks(StackProf.get());
-  } else if (AnyProfiled || Opts.hasFlag("force-monitor")) {
+  if (AnyProfiled || Opts.hasFlag("force-monitor")) {
     Mon = std::make_unique<Monitor>(Img->lowPc(), Img->highPc(), MO);
     Machine.setHooks(Mon.get());
   }
@@ -246,17 +232,6 @@ int main(int Argc, char **Argv) {
       std::fprintf(stderr, "tlrun: profile pushed as %s\n",
                    digestToHex(*Digest).substr(0, 12).c_str());
     }
-  }
-
-  if (StackProf) {
-    StackProfile P =
-        StackProf->buildProfile(SymbolTable::fromImage(*Img));
-    std::printf("\nstack-sample profile (%llu samples):\n",
-                static_cast<unsigned long long>(StackProf->sampleCount()));
-    std::printf("   self secs   incl secs  name\n");
-    for (const auto &F : P.Functions)
-      std::printf("%12.2f %11.2f  %s\n", F.SelfTime, F.InclusiveTime,
-                  F.Name.c_str());
   }
 
   // GPROF_TELEMETRY=-|stderr dumps the runtime counters (mcount probe

@@ -15,8 +15,6 @@ using namespace gprof;
 
 ProfileHooks::~ProfileHooks() = default;
 
-void ProfileHooks::onTickStack(const std::vector<Address> &, Address) {}
-
 void ProfileHooks::onReturn(Address) {}
 
 namespace {
@@ -117,21 +115,10 @@ Error VM::badCall(uint64_t Offset, uint64_t Clock, Address Target,
                      Callee->Name.c_str(), Callee->NumSlots, Argc));
 }
 
-void VM::deliverTick(Address Pc) {
-  if (!Hooks)
-    return;
-  Hooks->onTick(Pc);
-  if (!Hooks->wantsStackSamples())
-    return;
-  StackScratch.clear();
-  for (const Frame &F : Frames)
-    StackScratch.push_back(F.Func->Addr);
-  Hooks->onTickStack(StackScratch, Pc);
-}
-
 void VM::deliverDueTicks(Address Pc) {
   while (Cycles >= NextTickAt) {
-    deliverTick(Pc);
+    if (Hooks)
+      Hooks->onTick(Pc);
     NextTickAt += Opts.CyclesPerTick;
     ++Ticks;
   }

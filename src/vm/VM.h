@@ -48,7 +48,11 @@
 
 namespace gprof {
 
-/// Receives profiling events from the VM.
+/// Receives profiling events from the VM.  The three events are all any
+/// profiler here needs: runtime/Monitor builds the histogram from onTick,
+/// the arc table from onCall, and, with contexts on, the calling-context
+/// tree from all three (the complete call stacks the retrospective asks
+/// for, aggregated per path, with no per-tick stack copy).
 class ProfileHooks {
 public:
   virtual ~ProfileHooks();
@@ -70,18 +74,6 @@ public:
   /// context recorder — the ordering the CCT/flat-profile equivalence
   /// invariant depends on (docs/RUNTIME_MT.md).  Default: ignored.
   virtual void onReturn(Address SelfPc);
-
-  /// Opt-in to call-stack snapshots: when this returns true the VM also
-  /// calls onTickStack for every tick.  This is the retrospective's
-  /// "modern profilers ... periodically gathering not just isolated
-  /// program counter samples and isolated call graph arcs, but complete
-  /// call stacks"; building the snapshot costs extra work per tick, which
-  /// is why such profilers back off their sampling frequency.
-  virtual bool wantsStackSamples() const { return false; }
-
-  /// A clock tick with the full call stack: entry addresses of the active
-  /// frames, outermost first; \p Pc is the interrupted instruction.
-  virtual void onTickStack(const std::vector<Address> &Stack, Address Pc);
 };
 
 /// Execution limits and clock configuration.
@@ -168,7 +160,6 @@ private:
   Error trap(uint64_t Offset, uint64_t Clock, const std::string &Message);
   Error badCall(uint64_t Offset, uint64_t Clock, Address Target,
                 unsigned Argc);
-  void deliverTick(Address Pc);
   void deliverDueTicks(Address Pc);
   /// Image::findFunctionAt(Pc), from EntryAt inside the code segment.
   const FuncInfo *functionAt(Address Pc) const;
@@ -182,7 +173,6 @@ private:
   std::vector<int64_t> Stack;
   std::vector<int64_t> Locals;
   std::vector<Frame> Frames;
-  std::vector<Address> StackScratch;
 
   /// One entry per code byte offset.
   std::vector<Decoded> Code;

@@ -8,9 +8,10 @@
 /// The zero-copy read path (docs/READPATH.md): MappedFile mapping and
 /// fallback semantics under injected faults, a differential corpus
 /// proving the in-place gmon parser bit-identical to the legacy
-/// BinaryStream reference reader over every truncation cut and byte
-/// mutation (strict and tolerant), and the flat symbol resolver and
-/// open-addressing arc index against their historical behavior.
+/// BinaryStream reference reader (tests/reference_gmon.h) over every
+/// truncation cut and byte mutation (strict and tolerant), and the flat
+/// symbol resolver and open-addressing arc index against their
+/// historical behavior.
 ///
 /// The ReadPathCorpusTest suite doubles as the ASan smoke body: the
 /// in-place parser reads borrowed bytes with manual bounds checks, so
@@ -19,6 +20,8 @@
 /// tests/CMakeLists.txt).
 ///
 //===----------------------------------------------------------------------===//
+
+#include "reference_gmon.h"
 
 #include "core/SymbolTable.h"
 #include "gmon/GmonFile.h"

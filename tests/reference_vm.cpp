@@ -38,15 +38,8 @@ uint64_t ReferenceVM::readU64(Address Pc) const {
 }
 
 void ReferenceVM::deliverTick(Address Pc) {
-  if (!Hooks)
-    return;
-  Hooks->onTick(Pc);
-  if (!Hooks->wantsStackSamples())
-    return;
-  StackScratch.clear();
-  for (const Frame &F : Frames)
-    StackScratch.push_back(F.Func->Addr);
-  Hooks->onTickStack(StackScratch, Pc);
+  if (Hooks)
+    Hooks->onTick(Pc);
 }
 
 Expected<RunResult> ReferenceVM::run() {

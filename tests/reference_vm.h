@@ -65,7 +65,6 @@ private:
   std::vector<int64_t> Stack;
   std::vector<int64_t> Locals;
   std::vector<Frame> Frames;
-  std::vector<Address> StackScratch;
 
   uint64_t Cycles = 0;
   uint64_t NextTickAt = 0;

@@ -106,6 +106,13 @@ snapshotTree(const std::string &Root) {
   return Tree;
 }
 
+/// True while the daemon's socket file is present.  fileExists() is no
+/// use here: it answers only for regular files, and a socket is not one.
+bool socketExists(const std::string &SocketPath) {
+  std::error_code EC;
+  return std::filesystem::exists(SocketPath, EC);
+}
+
 /// Pings \p SocketPath until the daemon answers, failing after ~5s.
 testing::AssertionResult waitForDaemon(const std::string &SocketPath) {
   ClientOptions CO;
@@ -922,9 +929,9 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
 
   // Clean daemon shutdown on SIGTERM, releasing the socket and store.
   ASSERT_EQ(::kill(DaemonPid, SIGTERM), 0);
-  for (int I = 0; I != 100 && fileExists(SocketPath); ++I)
+  for (int I = 0; I != 100 && socketExists(SocketPath); ++I)
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(fileExists(SocketPath)) << "daemon did not shut down";
+  EXPECT_FALSE(socketExists(SocketPath)) << "daemon did not shut down";
 
   for (size_t I = 0; I != FlagSets.size(); ++I) {
     std::string Offline;
@@ -1042,7 +1049,7 @@ TEST_F(ServeStatsTest, CliStatsEndToEnd) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
   }
-  EXPECT_FALSE(fileExists(SocketPath)) << "daemon did not shut down";
+  EXPECT_FALSE(socketExists(SocketPath)) << "daemon did not shut down";
   ASSERT_FALSE(LogText.empty());
   size_t Lines = 0;
   for (size_t Pos = 0; Pos < LogText.size();) {

@@ -19,6 +19,7 @@
 #include "support/FileUtils.h"
 #include "support/Format.h"
 #include "vm/CodeGen.h"
+#include "vm/Image.h"
 #include "vm/VM.h"
 
 #include <gtest/gtest.h>
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
@@ -269,6 +271,75 @@ TEST_F(StoreCliTest, CompactAndWindowedReport) {
                   Out);
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("1 shard(s)"), std::string::npos) << Out;
+  std::filesystem::remove_all(StorePath);
+}
+
+TEST_F(StoreCliTest, ReportStartsMergeWorkersOnlyWhenItFolds) {
+  // The merge pool starts its workers with its first job.  A report whose
+  // members fold on the calling thread (fewer than four inputs) or come
+  // from the aggregate cache starts none; one that splits four inputs
+  // over --jobs 2 starts two.
+  std::string StorePath = tempPath("pool_store");
+  std::filesystem::remove_all(StorePath);
+  Image Compiled = cantFail(Image::loadFromFile(*Img));
+  std::vector<std::string> Shards = {*Gmon};
+  for (uint64_t CyclesPerTick : {1009, 1013, 1019}) {
+    Monitor Mon(Compiled.lowPc(), Compiled.highPc());
+    VMOptions VO;
+    VO.CyclesPerTick = CyclesPerTick;
+    VM Machine(Compiled, VO);
+    Machine.setHooks(&Mon);
+    cantFail(Machine.run());
+    Shards.push_back(tempPath(format("pool_%llu.out",
+                                     static_cast<unsigned long long>(
+                                         CyclesPerTick))));
+    cantFail(writeGmonFile(Shards.back(), Mon.finish()));
+  }
+
+  // Runs `report --stats` and returns its stderr; \p Spawned gets the
+  // workers_spawned gauge, 0 when the gauge was never registered.
+  auto Report = [&](const char *Flags, uint64_t &Spawned) {
+    std::string Err;
+    int Rc = runCommandStderr(format("%s report --flat-only --stats %s %s %s",
+                                     GPROF_STORE_PATH, Flags,
+                                     StorePath.c_str(), Img->c_str()),
+                              Err);
+    EXPECT_EQ(Rc, 0) << Err;
+    const std::string Key = "{\"metric\": \"threadpool.workers_spawned\", "
+                            "\"kind\": \"gauge\", \"value\": ";
+    Spawned = 0;
+    if (size_t At = Err.find(Key); At != std::string::npos)
+      Spawned = std::stoull(Err.substr(At + Key.size()));
+    return Err;
+  };
+
+  std::string Out;
+  int Rc = runCommand(format("%s put %s %s %s", GPROF_STORE_PATH,
+                             StorePath.c_str(), Shards[0].c_str(),
+                             Shards[1].c_str()),
+                      Out);
+  ASSERT_EQ(Rc, 0) << Out;
+  uint64_t Spawned = 0;
+  Out = Report("", Spawned);
+  EXPECT_NE(Out.find("cache miss, merged 2 input(s)"), std::string::npos)
+      << Out;
+  EXPECT_EQ(Spawned, 0u) << Out;
+  Out = Report("", Spawned);
+  EXPECT_NE(Out.find("[cache hit]"), std::string::npos) << Out;
+  EXPECT_EQ(Spawned, 0u) << Out;
+
+  Rc = runCommand(format("%s put %s %s %s", GPROF_STORE_PATH,
+                         StorePath.c_str(), Shards[2].c_str(),
+                         Shards[3].c_str()),
+                  Out);
+  ASSERT_EQ(Rc, 0) << Out;
+  Out = Report("--jobs 2", Spawned);
+  EXPECT_NE(Out.find("cache miss, merged 4 input(s)"), std::string::npos)
+      << Out;
+  EXPECT_EQ(Spawned, 2u) << Out;
+
+  for (size_t I = 1; I != Shards.size(); ++I)
+    std::remove(Shards[I].c_str());
   std::filesystem::remove_all(StorePath);
 }
 

@@ -111,6 +111,7 @@ TEST_F(ToolsTest, TlrunPrintsProgramOutput) {
   // middle(400) = sum of squares 0..399.
   EXPECT_NE(Out.find("21253400"), std::string::npos) << Out;
   EXPECT_NE(Out.find("profile written"), std::string::npos) << Out;
+  std::remove(tempPath("scratch.out").c_str());
 }
 
 TEST_F(ToolsTest, GprofProducesBothListings) {
@@ -255,15 +256,35 @@ TEST_F(ToolsTest, GprofExcludeTime) {
       << Out;
 }
 
-TEST_F(ToolsTest, TlrunStackMode) {
+TEST_F(ToolsTest, TlrunContextsThenGprofContexts) {
+  // Exact self and total times per call chain come from the context tree
+  // tlrun --contexts records, listed by gprof --contexts.  tlrun has no
+  // other exact-attribution mode: --stack is an unknown option.
+  std::string CtxGmon = tempPath("contexts.out");
   std::string Out;
-  int Rc = runCommand(format("%s --stack -q --cycles-per-tick 100 %s",
-                             TLRUN_PATH, Img->c_str()),
+  int Rc = runCommand(format("%s --contexts -q --cycles-per-tick 100 %s "
+                             "--gmon %s",
+                             TLRUN_PATH, Img->c_str(), CtxGmon.c_str()),
                       Out);
+  ASSERT_EQ(Rc, 0) << Out;
+  Rc = runCommand(format("%s --contexts %s %s", GPROF_PATH, Img->c_str(),
+                         CtxGmon.c_str()),
+                  Out);
   EXPECT_EQ(Rc, 0) << Out;
-  EXPECT_NE(Out.find("stack-sample profile"), std::string::npos);
-  EXPECT_NE(Out.find("incl secs"), std::string::npos);
-  EXPECT_NE(Out.find("main"), std::string::npos);
+  EXPECT_NE(Out.find("calling-context profile: 3 contexts"),
+            std::string::npos)
+      << Out;
+  EXPECT_NE(Out.find("middle: 1 context, exact self"), std::string::npos)
+      << Out;
+  // leaf's one context carries all 400 of its calls.
+  size_t Leaf = Out.find("main > middle > leaf");
+  ASSERT_NE(Leaf, std::string::npos) << Out;
+  EXPECT_EQ(std::stoull(Out.substr(Out.rfind('\n', Leaf) + 1)), 400u) << Out;
+  std::remove(CtxGmon.c_str());
+
+  Rc = runCommand(format("%s --stack -q %s", TLRUN_PATH, Img->c_str()), Out);
+  EXPECT_EQ(Rc, 1) << Out;
+  EXPECT_NE(Out.find("unknown option '--stack'"), std::string::npos) << Out;
 }
 
 TEST_F(ToolsTest, TlcDumpAst) {

@@ -8,13 +8,12 @@
 /// VM dispatches from a table it decodes once per image; ReferenceVM
 /// (tests/reference_vm.h) re-decodes every instruction from the code bytes
 /// as it executes it.  Every input here runs through both, and they must
-/// agree on every RunResult field, on the ordered stream of hook events
-/// (stack samples included), on the total cycle count and on the message
-/// of every trap.  The inputs are the TL corpus at three tick rates,
-/// hand-assembled images reaching every trap and decode edge, and seeded
-/// mutations of a compiled image.  The hand-built and mutated images are
-/// also the decoder's untrusted-input corpus under ASan (ctest target
-/// gprof_vm_smoke).
+/// agree on every RunResult field, on the ordered stream of hook events,
+/// on the total cycle count and on the message of every trap.  The inputs
+/// are the TL corpus at three tick rates, hand-assembled images reaching
+/// every trap and decode edge, and seeded mutations of a compiled image.
+/// The hand-built and mutated images are also the decoder's
+/// untrusted-input corpus under ASan (ctest target gprof_vm_smoke).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -48,7 +47,7 @@ struct EventStream {
   std::vector<std::string> Head;
 };
 
-/// Records every hook event the machine delivers, stack samples included.
+/// Records every hook event the machine delivers.
 class EventLog : public ProfileHooks {
 public:
   EventStream Events;
@@ -65,13 +64,6 @@ public:
   void onReturn(Address SelfPc) override {
     begin('R');
     word(SelfPc);
-  }
-  bool wantsStackSamples() const override { return true; }
-  void onTickStack(const std::vector<Address> &Stack, Address Pc) override {
-    begin('S');
-    word(Pc);
-    for (Address A : Stack)
-      word(A);
   }
 
 private:
