@@ -15,7 +15,9 @@
 /// compaction (a handful of tiered runs), each timed once on a cold
 /// store, asserting that the flat report merges every shard, that the
 /// compacted report merges 1 to 16 inputs, and that its bytes match the
-/// flat merge exactly.  Emits BENCH_store_merge.json for the
+/// flat merge exactly.  One aligned capture-time window per store size
+/// (64 shards; 8 in smoke mode) must read the one run of its subtree, with
+/// bytes equal to its flat merge.  Emits BENCH_store_merge.json for the
 /// perf-tracking tooling; --smoke shrinks the sizes for the ctest hook
 /// that keeps the bench and its JSON emission from rotting.
 ///
@@ -66,11 +68,19 @@ struct CompactionRound {
   size_t RunsUsed = 0;
   unsigned Folds = 0;         ///< Compaction steps committed.
   bool Identical = false;     ///< Compacted report bytes == flat bytes.
+  /// The oldest Window shards in capture order, merged cold before and
+  /// after compaction.
+  size_t Window = 0;
+  double WindowFlatMs = 0.0;
+  double WindowMs = 0.0;
+  size_t WindowInputs = 0;
+  bool WindowIdentical = false;
 };
 
-CompactionRound runCompactionRound(size_t NumShards) {
+CompactionRound runCompactionRound(size_t NumShards, size_t Window) {
   CompactionRound R;
   R.Shards = NumShards;
+  R.Window = Window;
   std::string Root = std::filesystem::temp_directory_path().string() +
                      "/gprof_bench_compact_" +
                      format("%d_%zu", getpid(), NumShards);
@@ -79,10 +89,13 @@ CompactionRound runCompactionRound(size_t NumShards) {
   StoreOptions SO;
   SO.CompactionFanout = 8;
   auto Store = cantFail(ProfileStore::open(Root, SO));
-  for (size_t I = 0; I != NumShards; ++I)
-    cantFail(Store.put(makeShard(0xC0DE + I), Sha256Digest{}, "profile",
-                       /*CaptureTimeNs=*/I + 1)
-                 .takeError());
+  std::vector<Sha256Digest> Oldest;
+  for (size_t I = 0; I != NumShards; ++I) {
+    Sha256Digest D = cantFail(Store.put(makeShard(0xC0DE + I), Sha256Digest{},
+                                        "profile", /*CaptureTimeNs=*/I + 1));
+    if (I < Window)
+      Oldest.push_back(D);
+  }
 
   // Each operation is timed once: a repeat would hit the aggregate cache
   // (merge) or find nothing left to fold (compact).
@@ -91,6 +104,9 @@ CompactionRound runCompactionRound(size_t NumShards) {
   R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({}, &Pool)); }, 1);
   R.InputsFlat = Flat.InputsMerged;
   std::vector<uint8_t> FlatBytes = writeGmon(Flat.Data);
+  ProfileStore::MergeResult FlatWindow;
+  R.WindowFlatMs =
+      timeMs([&] { FlatWindow = cantFail(Store.merge(Oldest, &Pool)); }, 1);
 
   R.CompactMs = timeMs(
       [&] {
@@ -108,6 +124,13 @@ CompactionRound runCompactionRound(size_t NumShards) {
   R.RunsUsed = Tiered.RunsUsed;
   R.Identical = writeGmon(Tiered.Data) == FlatBytes;
 
+  cantFail(removeFile(Store.cachePath(FlatWindow.Digest)));
+  ProfileStore::MergeResult TreeWindow;
+  R.WindowMs =
+      timeMs([&] { TreeWindow = cantFail(Store.merge(Oldest, &Pool)); }, 1);
+  R.WindowInputs = TreeWindow.InputsMerged;
+  R.WindowIdentical = writeGmon(TreeWindow.Data) == writeGmon(FlatWindow.Data);
+
   std::filesystem::remove_all(Root);
   return R;
 }
@@ -119,6 +142,7 @@ int main(int Argc, char **Argv) {
   const size_t EngineShards = Smoke ? 64 : 256;
   std::vector<size_t> StoreSizes = Smoke ? std::vector<size_t>{32}
                                          : std::vector<size_t>{256, 1024};
+  const size_t Window = Smoke ? 8 : 64;
 
   banner("T-store (new)",
          "parallel k-way merge and LSM compaction over a profile "
@@ -179,8 +203,10 @@ int main(int Argc, char **Argv) {
   row({"shards", "flat ms", "compact ms", "report ms", "inputs", "runs"},
       12);
   bool CompactIdentical = true, CompactBounded = true;
+  std::vector<CompactionRound> Rounds;
   for (size_t N : StoreSizes) {
-    CompactionRound R = runCompactionRound(N);
+    Rounds.push_back(runCompactionRound(N, Window));
+    const CompactionRound &R = Rounds.back();
     CompactIdentical = CompactIdentical && R.Identical;
     CompactBounded = CompactBounded && R.InputsFlat == N &&
                      R.InputsCompacted > 0 && R.InputsCompacted <= 16;
@@ -201,6 +227,26 @@ int main(int Argc, char **Argv) {
     Json.setRow("folds", uint64_t(R.Folds));
   }
 
+  std::printf("\naligned window: the oldest %zu shards, cold merge before "
+              "vs after compaction\n\n",
+              Window);
+  row({"shards", "window", "flat ms", "tree ms", "inputs"}, 12);
+  bool WindowOneRun = true;
+  for (const CompactionRound &R : Rounds) {
+    WindowOneRun = WindowOneRun && R.WindowInputs == 1 && R.WindowIdentical;
+    row({format("%zu", R.Shards), format("%zu", R.Window),
+         format("%.2f", R.WindowFlatMs), format("%.2f", R.WindowMs),
+         format("%zu -> %zu", R.Window, R.WindowInputs)},
+        12);
+    Json.beginRow();
+    Json.setRow("section", std::string("aligned_window"));
+    Json.setRow("shards", uint64_t(R.Shards));
+    Json.setRow("window", uint64_t(R.Window));
+    Json.setRow("flat_window_ms", R.WindowFlatMs);
+    Json.setRow("tree_window_ms", R.WindowMs);
+    Json.setRow("window_inputs", uint64_t(R.WindowInputs));
+  }
+
   std::printf("\nchecks:\n");
   bool Ok = true;
   Ok &= check(Identical,
@@ -219,6 +265,9 @@ int main(int Argc, char **Argv) {
   Ok &= check(CompactBounded,
               "the flat report merges every shard, and after compaction a "
               "full report merges 1 to 16 inputs");
+  Ok &= check(WindowOneRun,
+              "an aligned capture-time window merges 1 input, byte-identical "
+              "to its flat merge");
   Json.set("kway1_ms", KWay1Ms);
   Json.set("best_parallel_ms", BestParallelMs);
   Json.write();

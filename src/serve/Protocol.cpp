@@ -262,6 +262,7 @@ serve::encodeShardList(const std::vector<ShardInfo> &Shards) {
                            S.NumBuckets, S.NumArcs, S.TotalSamples})
       W.writeU64(Field);
     W.writeU32(S.Runs);
+    W.writeU64(S.CaptureTimeNs);
   }
   return W.takeBytes();
 }
@@ -298,6 +299,10 @@ serve::decodeShardList(const std::vector<uint8_t> &Payload) {
     if (!Runs)
       return Runs.takeError();
     Info.Runs = *Runs;
+    auto CaptureTime = R.readU64();
+    if (!CaptureTime)
+      return CaptureTime.takeError();
+    Info.CaptureTimeNs = *CaptureTime;
     Shards.push_back(Info);
   }
   if (!R.atEnd())

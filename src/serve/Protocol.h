@@ -162,7 +162,9 @@ std::vector<uint8_t> encodeStatsResponse(const StatsResponse &Resp);
 Expected<StatsResponse>
 decodeStatsResponse(const std::vector<uint8_t> &Payload);
 
-/// LIST OK payload: the server's ShardInfo rows, in index (digest) order.
+/// LIST OK payload: the server's ShardInfo rows, in index (digest) order,
+/// capture time included (wire revision 3).  A peer on revision 2 fails
+/// to decode the rows with a truncation or trailing-bytes error.
 std::vector<uint8_t> encodeShardList(const std::vector<ShardInfo> &Shards);
 Expected<std::vector<ShardInfo>>
 decodeShardList(const std::vector<uint8_t> &Payload);

@@ -58,10 +58,16 @@ Error ServeServer::start() {
 void ServeServer::maybeScheduleCompaction() {
   if (!Opts.BackgroundCompaction || Stop.load(std::memory_order_relaxed))
     return;
+  // One drain at a time: a second pass would only queue behind the first
+  // on the ingest lock.  Check the flag before planning, so a push during
+  // a drain does not plan under the ingest lock for nothing: the drain
+  // re-plans after it clears the flag, and the ingest lock orders each
+  // put's insert before or after that re-plan.  exchange() makes the busy
+  // check race-free.
+  if (CompactionBusy.load(std::memory_order_acquire))
+    return;
   if (!Store.compactionPending())
     return;
-  // One drain at a time: a second pass would only queue behind the first
-  // on the ingest lock.  exchange() makes the busy check race-free.
   if (CompactionBusy.exchange(true, std::memory_order_acq_rel))
     return;
   telemetry::gauge("compaction.passes").add(1);
@@ -89,7 +95,6 @@ void ServeServer::maybeScheduleCompaction() {
       EventLog::instance().emit(
           "compaction.pass",
           jsonIntField("steps", Stats.Steps) + ", " +
-              jsonIntField("runs_retired", Stats.RunsRetired) + ", " +
               jsonIntField("shards_folded", Stats.ShardsFolded));
     }
     CompactionBusy.store(false, std::memory_order_release);
@@ -290,7 +295,7 @@ Error ServeServer::handleStats(Connection &Conn, const Frame &Request) {
                                       R.nowNs() - StartNs)));
   RO.ExtraFields.emplace_back("pid", format("%ld", long(getpid())));
   std::string Build;
-  telemetry::appendJsonString(Build, "gprof-store serve (GSRV rev 2, "
+  telemetry::appendJsonString(Build, "gprof-store serve (GSRV rev 3, "
                                      "built " __DATE__ ")");
   RO.ExtraFields.emplace_back("build", Build);
   RO.ExtraFields.emplace_back("events", EventLog::renderArray(Events));

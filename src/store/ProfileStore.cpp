@@ -26,9 +26,11 @@ namespace {
 
 constexpr char IndexMagic[4] = {'G', 'P', 'S', 'I'};
 /// v1: flat shard records.  v2 appends a capture timestamp per shard and
-/// the compacted-run manifests (docs/FORMATS.md); v1 indexes still load,
-/// reading back zero capture times and no runs.
-constexpr uint32_t IndexVersion = 2;
+/// flat run manifests; v3 stores the runs as a merge tree, each with its
+/// children and content digest (docs/FORMATS.md).  v1 and v2 indexes
+/// still load with their shards and no runs — v2 runs carry no content
+/// digest to verify — and the next compaction rebuilds the tree.
+constexpr uint32_t IndexVersion = 3;
 constexpr uint32_t IndexVersionV1 = 1;
 
 /// Cap on index record counts accepted from disk, guarding allocation
@@ -54,11 +56,6 @@ uint64_t wallClockNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::system_clock::now().time_since_epoch())
           .count());
-}
-
-void discardError(Error E) {
-  if (E)
-    (void)E.message();
 }
 
 } // namespace
@@ -106,8 +103,9 @@ const ShardInfo *ProfileStore::findShard(const Sha256Digest &Digest) const {
 }
 
 const RunInfo *ProfileStore::findRun(const Sha256Digest &Digest) const {
-  auto It = std::lower_bound(Runs.begin(), Runs.end(),
-                             RunInfo{.Digest = Digest}, runDigestLess);
+  auto It = std::lower_bound(
+      Runs.begin(), Runs.end(), Digest,
+      [](const RunInfo &R, const Sha256Digest &D) { return R.Digest < D; });
   if (It != Runs.end() && It->Digest == Digest)
     return &*It;
   return nullptr;
@@ -132,7 +130,7 @@ Error ProfileStore::loadIndex() {
   auto Ver = R.readU32();
   if (!Ver)
     return Ver.takeError();
-  if (*Ver != IndexVersion && *Ver != IndexVersionV1)
+  if (*Ver < IndexVersionV1 || *Ver > IndexVersion)
     return Error::failure(format("%s: unsupported index version %u "
                                  "(expected %u)",
                                  Path.c_str(), *Ver, IndexVersion));
@@ -194,50 +192,97 @@ Error ProfileStore::loadIndex() {
       RunInfo Run;
       if (Error E = ReadDigest(Run.Digest))
         return E;
+      if (*Ver >= 3)
+        if (Error E = ReadDigest(Run.ContentDigest))
+          return E;
       auto Level = R.readU32();
       if (!Level)
         return Level.takeError();
       Run.Level = *Level;
-      auto ReadU64 = [&R](uint64_t &Out) -> Error {
+      for (uint64_t *Field : {&Run.MinTimeNs, &Run.MaxTimeNs}) {
         auto V = R.readU64();
         if (!V)
           return V.takeError();
-        Out = *V;
-        return Error::success();
-      };
-      if (Error E = ReadU64(Run.MinTimeNs))
-        return E;
-      if (Error E = ReadU64(Run.MaxTimeNs))
-        return E;
-      auto Members = R.readU64();
-      if (!Members)
-        return Members.takeError();
-      if (*Members > MaxIndexRecords)
-        return Error::failure(Path + ": run member count implausibly large");
-      Run.Members.reserve(static_cast<size_t>(*Members));
-      for (uint64_t M = 0; M != *Members; ++M) {
-        Sha256Digest D;
+        *Field = *V;
+      }
+      // v3: children; v2: the flat member list, read past and dropped.
+      auto Children = R.readU64();
+      if (!Children)
+        return Children.takeError();
+      if (*Children > MaxIndexRecords)
+        return Error::failure(Path + ": run child count implausibly large");
+      Run.Children.resize(static_cast<size_t>(*Children));
+      for (Sha256Digest &D : Run.Children)
         if (Error E = ReadDigest(D))
           return E;
-        Run.Members.push_back(D);
-      }
-      std::sort(Run.Members.begin(), Run.Members.end());
-      // The index is written as a whole, atomically, so a manifest naming
-      // a shard the same index dropped is corruption, not a torn write.
-      for (const Sha256Digest &D : Run.Members)
-        if (!findShard(D))
-          return Error::failure(
-              format("%s: run %s names shard %s not in the index",
-                     Path.c_str(),
-                     digestToHex(Run.Digest).substr(0, 12).c_str(),
-                     digestToHex(D).substr(0, 12).c_str()));
-      Runs.push_back(std::move(Run));
+      if (*Ver >= 3)
+        Runs.push_back(std::move(Run));
     }
-    std::sort(Runs.begin(), Runs.end(), runDigestLess);
   }
   if (!R.atEnd())
     return Error::failure(format("%s: %zu trailing bytes after index data",
                                  Path.c_str(), R.remaining()));
+  return checkRunTree(Path);
+}
+
+std::vector<Sha256Digest> ProfileStore::claimedChildren() const {
+  std::vector<Sha256Digest> Claimed;
+  for (const RunInfo &R : Runs)
+    Claimed.insert(Claimed.end(), R.Children.begin(), R.Children.end());
+  std::sort(Claimed.begin(), Claimed.end());
+  return Claimed;
+}
+
+Error ProfileStore::checkRunTree(const std::string &Path) {
+  // The index is written as a whole, atomically, so a tree that does not
+  // hold together is corruption, not a torn write.
+  std::sort(Runs.begin(), Runs.end(), runDigestLess);
+  auto Short = [](const Sha256Digest &D) {
+    return digestToHex(D).substr(0, 12);
+  };
+  std::vector<Sha256Digest> Claimed = claimedChildren();
+  auto Twice = std::adjacent_find(Claimed.begin(), Claimed.end());
+  if (Twice != Claimed.end())
+    return Error::failure(format("%s: two runs claim child %s", Path.c_str(),
+                                 Short(*Twice).c_str()));
+  // Members derive bottom-up, so visit the runs by ascending level.
+  std::vector<RunInfo *> ByLevel;
+  for (RunInfo &R : Runs)
+    ByLevel.push_back(&R);
+  std::stable_sort(ByLevel.begin(), ByLevel.end(),
+                   [](const RunInfo *A, const RunInfo *B) {
+                     return A->Level < B->Level;
+                   });
+  for (RunInfo *R : ByLevel) {
+    std::sort(R->Children.begin(), R->Children.end());
+    if (R->Level == 0 || R->Children.empty())
+      return Error::failure(format("%s: run %s has level %u and %zu "
+                                   "children",
+                                   Path.c_str(), Short(R->Digest).c_str(),
+                                   R->Level, R->Children.size()));
+    R->Members.clear();
+    for (const Sha256Digest &C : R->Children) {
+      // Level-1 children are shards; above, runs one level down.
+      const RunInfo *Child = R->Level == 1 ? nullptr : findRun(C);
+      if (R->Level == 1 ? !findShard(C) : !Child)
+        return Error::failure(format("%s: run %s names child %s not in the "
+                                     "index",
+                                     Path.c_str(), Short(R->Digest).c_str(),
+                                     Short(C).c_str()));
+      if (Child && Child->Level + 1 != R->Level)
+        return Error::failure(format("%s: level-%u run %s names level-%u "
+                                     "run %s",
+                                     Path.c_str(), R->Level,
+                                     Short(R->Digest).c_str(), Child->Level,
+                                     Short(C).c_str()));
+      if (Child)
+        R->Members.insert(R->Members.end(), Child->Members.begin(),
+                          Child->Members.end());
+      else
+        R->Members.push_back(C);
+    }
+    std::sort(R->Members.begin(), R->Members.end());
+  }
   return Error::success();
 }
 
@@ -259,11 +304,12 @@ Error ProfileStore::saveIndex() const {
   W.writeU64(Runs.size());
   for (const RunInfo &Run : Runs) {
     W.writeBytes(Run.Digest.data(), Run.Digest.size());
+    W.writeBytes(Run.ContentDigest.data(), Run.ContentDigest.size());
     W.writeU32(Run.Level);
     W.writeU64(Run.MinTimeNs);
     W.writeU64(Run.MaxTimeNs);
-    W.writeU64(Run.Members.size());
-    for (const Sha256Digest &D : Run.Members)
+    W.writeU64(Run.Children.size());
+    for (const Sha256Digest &D : Run.Children)
       W.writeBytes(D.data(), D.size());
   }
   // Write-then-rename so a crash mid-save never leaves a torn index.
@@ -446,14 +492,15 @@ ProfileStore::loadShard(const Sha256Digest &Digest) const {
   return Data;
 }
 
-Expected<ProfileData> ProfileStore::loadRun(const Sha256Digest &Digest) const {
-  // Runs are keyed by member set (like cache entries), not by content, so
-  // the gmon parse is the integrity check here; a damaged run fails it
-  // and merge() falls back to the member objects.
-  std::string Path = runPath(Digest);
+Expected<ProfileData> ProfileStore::loadRun(const RunInfo &Run) const {
+  // Runs are named by member set, so the index entry carries the content
+  // digest to check — a damaged run that still parses must not be summed.
+  std::string Path = runPath(Run.Digest);
   auto Map = MappedFile::open(Path);
   if (!Map)
     return Map.takeError();
+  if (Sha256::hash(Map->data(), Map->size()) != Run.ContentDigest)
+    return Error::failure(Path + ": run bytes do not match their digest");
   auto Data = readGmon(Map->data(), Map->size());
   if (!Data)
     return Error::failure(Path + ": " + Data.message());
@@ -505,13 +552,9 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
   if (Error E = fault::check("store.merge", Root))
     return E;
 
-  /// A run selected to substitute for its members; the member list rides
-  /// along so a damaged run file can fall back to the raw objects.
-  struct RunSel {
-    Sha256Digest Digest;
-    std::vector<Sha256Digest> Members;
-  };
-  std::vector<RunSel> SelectedRuns;
+  // Selected runs are copied out of the index: their member lists ride
+  // along so a damaged run file can fall back to the raw objects.
+  std::vector<RunInfo> SelectedRuns;
   std::vector<Sha256Digest> Loose;
   {
     // Index reads race with concurrent put() in the daemon; the heavy
@@ -532,9 +575,9 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
 
     // Tiered lookup: substitute every run whose member set the request
     // covers, preferring high levels (one level-L run replaces Fanout^L
-    // members).  Live runs have disjoint member sets, but the Covered
-    // mask keeps the substitution sound even if that invariant were ever
-    // violated on disk.
+    // members).  Runs of the merge tree are nested or disjoint, so the
+    // first fit at the highest level is the whole subtree, and the
+    // Covered mask skips the runs below it: the cover is disjoint.
     std::vector<const RunInfo *> Candidates;
     Candidates.reserve(Runs.size());
     for (const RunInfo &R : Runs)
@@ -565,7 +608,7 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
         continue;
       for (size_t I : Hits)
         Covered[I] = 1;
-      SelectedRuns.push_back({R->Digest, R->Members});
+      SelectedRuns.push_back(*R);
     }
     for (size_t I = 0; I != Members.size(); ++I)
       if (!Covered[I])
@@ -603,13 +646,13 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
   CacheMisses.add(1);
 
   // Load the selected runs first, then the loose members they left over.
-  // A run that fails to load costs speed, not correctness: its members
-  // rejoin the loose list and merge from the raw objects.
+  // A run that fails to load or to verify costs speed, not correctness:
+  // its members rejoin the loose list and merge from the raw objects.
   std::vector<ProfileData> Inputs;
   Inputs.reserve(SelectedRuns.size() + Loose.size());
   size_t RunsUsed = 0;
-  for (const RunSel &R : SelectedRuns) {
-    auto Data = loadRun(R.Digest);
+  for (const RunInfo &R : SelectedRuns) {
+    auto Data = loadRun(R);
     if (!Data) {
       (void)Data.takeError();
       telemetry::gauge("store.merge.run_fallbacks").add(1);
@@ -649,18 +692,18 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
 
 bool ProfileStore::planCompaction(CompactionPlan &Plan) const {
   const unsigned Fanout = std::max(2u, Options.CompactionFanout);
+  // A fold keeps its sources as children, so only unclaimed shards and
+  // root runs are eligible; shards are claimed by level-1 runs alone.
+  const std::vector<Sha256Digest> Claimed = claimedChildren();
+  auto IsClaimed = [&Claimed](const Sha256Digest &D) {
+    return std::binary_search(Claimed.begin(), Claimed.end(), D);
+  };
 
-  // Level 0: shards no live run covers yet.  Oldest first, so runs cover
-  // contiguous capture windows and retention can retire whole runs.
-  std::vector<Sha256Digest> CoveredDigests;
-  for (const RunInfo &R : Runs)
-    CoveredDigests.insert(CoveredDigests.end(), R.Members.begin(),
-                          R.Members.end());
-  std::sort(CoveredDigests.begin(), CoveredDigests.end());
+  // Level 0: shards no level-1 run covers yet.  Oldest first, so runs
+  // cover contiguous capture windows and retention can retire whole runs.
   std::vector<const ShardInfo *> Uncovered;
   for (const ShardInfo &S : Shards)
-    if (!std::binary_search(CoveredDigests.begin(), CoveredDigests.end(),
-                            S.Digest))
+    if (!IsClaimed(S.Digest))
       Uncovered.push_back(&S);
   if (Uncovered.size() >= Fanout) {
     std::sort(Uncovered.begin(), Uncovered.end(),
@@ -683,19 +726,19 @@ bool ProfileStore::planCompaction(CompactionPlan &Plan) const {
     return true;
   }
 
-  // Higher tiers: Fanout runs of one level fold into the level above,
-  // lowest level first so the tree fills bottom-up.
+  // Higher tiers: Fanout root runs of one level fold into the level
+  // above, lowest level first so the tree fills bottom-up.
   uint32_t MaxLevel = 0;
   for (const RunInfo &R : Runs)
     MaxLevel = std::max(MaxLevel, R.Level);
   for (uint32_t L = 1; L <= MaxLevel; ++L) {
-    std::vector<const RunInfo *> AtLevel;
+    std::vector<const RunInfo *> Roots;
     for (const RunInfo &R : Runs)
-      if (R.Level == L)
-        AtLevel.push_back(&R);
-    if (AtLevel.size() < Fanout)
+      if (R.Level == L && !IsClaimed(R.Digest))
+        Roots.push_back(&R);
+    if (Roots.size() < Fanout)
       continue;
-    std::sort(AtLevel.begin(), AtLevel.end(),
+    std::sort(Roots.begin(), Roots.end(),
               [](const RunInfo *A, const RunInfo *B) {
                 if (A->MinTimeNs != B->MinTimeNs)
                   return A->MinTimeNs < B->MinTimeNs;
@@ -705,8 +748,8 @@ bool ProfileStore::planCompaction(CompactionPlan &Plan) const {
     Plan.OutLevel = L + 1;
     Plan.MinTimeNs = UINT64_MAX;
     for (unsigned I = 0; I != Fanout; ++I) {
-      const RunInfo *R = AtLevel[I];
-      Plan.SourceRuns.push_back(R->Digest);
+      const RunInfo *R = Roots[I];
+      Plan.SourceRuns.push_back(*R);
       Plan.Members.insert(Plan.Members.end(), R->Members.begin(),
                           R->Members.end());
       Plan.MinTimeNs = std::min(Plan.MinTimeNs, R->MinTimeNs);
@@ -740,16 +783,24 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
   }
 
   // Heavy phase outside the lock: the sources are immutable files, and a
-  // concurrent put() must not stall behind a fold.
+  // concurrent put() must not stall behind a fold.  A source run that
+  // fails to load or to verify is folded from its member objects instead:
+  // the bytes come out the same, and one damaged run file must not stop
+  // every later drain.
   std::vector<ProfileData> Inputs;
   Inputs.reserve(Plan.SourceRuns.size() + Plan.SourceShards.size());
-  for (const Sha256Digest &D : Plan.SourceRuns) {
-    auto Data = loadRun(D);
-    if (!Data)
-      return Data.takeError();
-    Inputs.push_back(Data.takeValue());
+  std::vector<Sha256Digest> FromObjects = Plan.SourceShards;
+  for (const RunInfo &R : Plan.SourceRuns) {
+    auto Data = loadRun(R);
+    if (Data) {
+      Inputs.push_back(Data.takeValue());
+      continue;
+    }
+    (void)Data.takeError();
+    telemetry::gauge("store.compact.run_fallbacks").add(1);
+    FromObjects.insert(FromObjects.end(), R.Members.begin(), R.Members.end());
   }
-  for (const Sha256Digest &D : Plan.SourceShards) {
+  for (const Sha256Digest &D : FromObjects) {
     auto Data = loadShard(D);
     if (!Data)
       return Data.takeError();
@@ -762,33 +813,26 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
 
   RunInfo NewRun;
   NewRun.Digest = aggregateDigest(Plan.Members);
+  NewRun.ContentDigest = Sha256::hash(Bytes);
   NewRun.Level = Plan.OutLevel;
   NewRun.MinTimeNs = Plan.MinTimeNs;
   NewRun.MaxTimeNs = Plan.MaxTimeNs;
-  NewRun.Members = Plan.Members;
+  NewRun.Children = Plan.SourceShards;
+  for (const RunInfo &R : Plan.SourceRuns)
+    NewRun.Children.push_back(R.Digest);
+  std::sort(NewRun.Children.begin(), NewRun.Children.end());
+  NewRun.Members = std::move(Plan.Members);
 
   std::lock_guard<std::mutex> Lock(*IngestMutex);
-  // Re-validate under the lock: gc expiry may have retired a source while
-  // the fold ran.  A stale plan is dropped — returning true sends the
-  // caller's loop back to planning against the new state.
-  auto Contains = [](const std::vector<Sha256Digest> &Haystack,
-                     const Sha256Digest &Needle) {
-    return std::find(Haystack.begin(), Haystack.end(), Needle) !=
-           Haystack.end();
-  };
-  for (const Sha256Digest &D : Plan.SourceRuns)
-    if (!findRun(D))
+  // Re-validate under the lock: gc expiry may have retired a source, or
+  // another fold claimed one, while this fold ran.  A stale plan is
+  // dropped — returning true sends the caller's loop back to planning
+  // against the new state.
+  const std::vector<Sha256Digest> Claimed = claimedChildren();
+  for (const Sha256Digest &D : NewRun.Children)
+    if (std::binary_search(Claimed.begin(), Claimed.end(), D) ||
+        (NewRun.Level == 1 ? !findShard(D) : !findRun(D)))
       return true;
-  for (const Sha256Digest &D : Plan.SourceShards)
-    if (!findShard(D))
-      return true;
-  if (!Plan.SourceShards.empty())
-    for (const RunInfo &R : Runs)
-      for (const Sha256Digest &D : R.Members)
-        if (Contains(Plan.SourceShards, D))
-          return true;
-  if (findRun(NewRun.Digest))
-    return true; // Identical fold already committed.
 
   // Commit order: run file first (atomic), then the index rewrite.  A
   // failure between the two strands an orphan run file gc() sweeps —
@@ -797,35 +841,23 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
         return writeFileBytesAtomic(runPath(NewRun.Digest), Bytes);
       }))
     return E;
-  std::vector<RunInfo> PriorRuns = Runs;
-  Runs.erase(std::remove_if(Runs.begin(), Runs.end(),
-                            [&](const RunInfo &R) {
-                              return Contains(Plan.SourceRuns, R.Digest);
-                            }),
-             Runs.end());
-  Runs.insert(
-      std::upper_bound(Runs.begin(), Runs.end(), NewRun, runDigestLess),
-      NewRun);
+  auto Slot =
+      std::upper_bound(Runs.begin(), Runs.end(), NewRun, runDigestLess);
+  Slot = Runs.insert(Slot, NewRun);
   if (Error E = saveIndex()) {
     // Disk kept the old index; restore the in-memory view to match.  The
     // already-committed run file is unreferenced residue for gc().
-    Runs = std::move(PriorRuns);
+    Runs.erase(Slot);
     return E;
   }
-  // The retired sources are unreferenced now; best-effort removal, gc
-  // sweeps whatever a failure here leaves behind.
-  for (const Sha256Digest &D : Plan.SourceRuns)
-    discardError(removeFile(runPath(D)));
 
   if (Stats) {
     ++Stats->Steps;
-    Stats->RunsRetired += Plan.SourceRuns.size();
     Stats->ShardsFolded += Plan.SourceShards.size();
   }
   // Gauges: how many folds run, and when, depends on scheduling (daemon
   // idle time, CLI invocations), not on the profile data.
   telemetry::gauge("store.compact.steps").add(1);
-  telemetry::gauge("store.compact.runs_retired").add(Plan.SourceRuns.size());
   telemetry::gauge("store.compact.shards_folded")
       .add(Plan.SourceShards.size());
   EventLog::instance().emit(
@@ -886,9 +918,10 @@ Expected<GcStats> ProfileStore::gc(const GcOptions &GcOpts) {
     if (!Expired.empty()) {
       std::sort(Expired.begin(), Expired.end());
       size_t RunsBefore = Runs.size();
-      // A run overlapping any expired member is retired whole: its
-      // aggregate would keep counting samples the retention policy says
-      // are gone.
+      // A run over any expired member is retired whole — its level-1 run
+      // and every ancestor, whose aggregates would keep counting samples
+      // the retention policy says are gone.  Their other children stay
+      // as roots for the next compaction to refold.
       Runs.erase(std::remove_if(Runs.begin(), Runs.end(),
                                 [&](const RunInfo &R) {
                                   for (const Sha256Digest &D : R.Members)
@@ -971,8 +1004,8 @@ Expected<GcStats> ProfileStore::gc(const GcOptions &GcOpts) {
   }
 
   // Run files without a live manifest: compaction residue from a fold
-  // that committed its file but not its index, or sources a fold retired
-  // without managing to unlink.
+  // that committed its file but not its index, runs gc expiry retired,
+  // and the flat runs of a v1/v2 index.
   auto RunEntries = listDirectory(Root + "/runs");
   if (!RunEntries)
     return RunEntries.takeError();

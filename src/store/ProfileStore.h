@@ -13,7 +13,7 @@
 ///
 ///   index.bin                    versioned binary index of shards and runs
 ///   objects/<hh>/<digest>.gmon   canonical shard bytes, content-addressed
-///   runs/<digest>.gmon           compacted partial merges (tiered runs)
+///   runs/<digest>.gmon           compacted partial merges (merge-tree runs)
 ///   cache/<digest>.gmon          merged aggregates, keyed by member set
 ///
 /// Shards are canonicalized (arc table sorted, duplicates coalesced) before
@@ -29,15 +29,19 @@
 /// Aggregation is *tiered* (log-structured merge): freshly ingested shards
 /// sit at level 0, and compaction folds the oldest Fanout of them into a
 /// level-1 *run* — a memoized partial merge over a fixed member set — then
-/// Fanout level-1 runs into a level-2 run, and so on.  merge() substitutes
-/// each run whose member set is covered by the request for its members, so
-/// a report over N shards reads O(log_Fanout N) runs plus the uncompacted
-/// tail instead of N objects.  Runs are an acceleration structure only:
-/// shards are never deleted by compaction, subset queries that slice
-/// through a run simply fall back to the member objects, and losing a run
-/// file loses speed, never data.  Because the merge engine is associative
-/// and deterministic, a tiered merge is byte-identical to the flat merge
-/// of the same members at every compaction state.
+/// Fanout root level-1 runs into a level-2 run, and so on.  A fold keeps
+/// its sources as the new run's children, so the runs form a merge tree
+/// over capture order in which any two runs' member sets are nested or
+/// disjoint.  merge() covers the request with whole runs, highest level
+/// first: a window aligned to a subtree reads that one run, and any
+/// window reads at most about 2(Fanout-1) runs per level plus the
+/// uncompacted tail.  Runs are an acceleration structure only: shards are
+/// never deleted by compaction, each run's content digest is checked on
+/// load, and a run that is missing or damaged falls back to its member
+/// objects, so losing a run file loses speed, never data.  Because the
+/// merge engine is associative and deterministic, a tiered merge is
+/// byte-identical to the flat merge of the same members at every
+/// compaction state.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -76,27 +80,36 @@ struct ShardInfo {
   uint64_t CaptureTimeNs = 0;
 };
 
-/// One compacted run: a memoized partial merge over a fixed, disjoint set
-/// of shards.  Runs tier upward — a level-L run folds Fanout level-(L-1)
-/// runs (level 1 folds raw shards) — and every live run's member set is
-/// disjoint from every other's, so merge() can substitute runs for their
-/// members without double counting.
+/// One compacted run: a memoized partial merge over a fixed set of shards,
+/// and one node of the store's merge tree.  A level-1 run folds Fanout
+/// shards; a level-(L+1) run folds Fanout level-L runs, which stay live as
+/// its children.  No shard or run has two parents, so any two runs' member
+/// sets are nested or disjoint, and merge() can cover a request with whole
+/// runs without double counting.
 struct RunInfo {
   /// Aggregate digest of the member set (aggregateDigest), which names
   /// runs/<digest>.gmon.  Keyed like cache entries: by *what was merged*,
   /// sound because the merge engine is deterministic.
   Sha256Digest Digest{};
+  /// SHA-256 of the run file's bytes, recorded at commit and checked on
+  /// every load, as a shard's slot name is.
+  Sha256Digest ContentDigest{};
   uint32_t Level = 1; ///< Tier height; folding Fanout of these makes L+1.
   /// Capture-time window covered: [min, max] over the member shards.
   uint64_t MinTimeNs = 0;
   uint64_t MaxTimeNs = 0;
-  std::vector<Sha256Digest> Members; ///< Shard digests folded in, sorted.
+  /// The folded inputs, sorted: shard digests at level 1, run digests one
+  /// level down above that.  This is what the index stores.
+  std::vector<Sha256Digest> Children;
+  /// Every shard under this run, sorted — derived from Children on load.
+  std::vector<Sha256Digest> Members;
 };
 
 /// Retention knobs for gc().
 struct GcOptions {
   /// Drop every shard captured strictly before this timestamp (ns since
-  /// epoch); runs overlapping an expired shard are retired with it.
+  /// epoch); runs over an expired shard (its level-1 run and every
+  /// ancestor) are retired with it.
   /// 0 = no expiry, sweep only.
   uint64_t ExpireBeforeNs = 0;
 };
@@ -115,7 +128,6 @@ struct GcStats {
 /// What a compaction pass accomplished.
 struct CompactionStats {
   unsigned Steps = 0;         ///< Folds committed (one new run each).
-  unsigned RunsRetired = 0;   ///< Lower-level runs folded away.
   uint64_t ShardsFolded = 0;  ///< Level-0 shards newly covered by a run.
 };
 
@@ -164,8 +176,9 @@ public:
   /// concurrent put() from other threads sharing this store.
   std::vector<ShardInfo> shardsSnapshot() const;
 
-  /// Every live compacted run, sorted by ascending digest.  Borrowing
-  /// view; concurrent readers must use runsSnapshot().
+  /// Every live compacted run — inner nodes of the merge tree included —
+  /// sorted by ascending digest.  Borrowing view; concurrent readers must
+  /// use runsSnapshot().
   const std::vector<RunInfo> &runs() const { return Runs; }
 
   /// A copy of the run manifests taken under the ingest lock.
@@ -195,8 +208,9 @@ public:
   /// Loads one shard's profile data from its object slot.
   Expected<ProfileData> loadShard(const Sha256Digest &Digest) const;
 
-  /// Loads one compacted run's aggregate from its run slot.
-  Expected<ProfileData> loadRun(const Sha256Digest &Digest) const;
+  /// Loads one compacted run's aggregate from its run slot, checking the
+  /// bytes against the run's content digest.
+  Expected<ProfileData> loadRun(const RunInfo &Run) const;
 
   /// The digest that keys an aggregate over \p Members (order-insensitive:
   /// members are deduplicated and sorted before hashing; the argument is
@@ -220,9 +234,10 @@ public:
   /// caches the aggregate; subsequent identical queries are served from
   /// the cache without re-merging.  Compacted runs fully covered by the
   /// member set substitute for their members, so a compacted store merges
-  /// a handful of runs instead of every shard; the bytes are identical to
-  /// a flat merge either way.  \p Pool may be null for a sequential
-  /// merge — the bytes are identical either way.
+  /// a handful of runs instead of every shard; a run whose bytes fail
+  /// their digest falls back to its members (store.merge.run_fallbacks).
+  /// The bytes are identical to a flat merge either way.  \p Pool may be
+  /// null for a sequential merge — the bytes are identical either way.
   Expected<MergeResult> merge(std::vector<Sha256Digest> Members,
                               ThreadPool *Pool = nullptr);
 
@@ -234,14 +249,16 @@ public:
                                             uint64_t UntilNs) const;
 
   /// Performs at most one compaction fold: the oldest Fanout uncovered
-  /// shards into a level-1 run, or the oldest Fanout level-L runs into a
-  /// level-(L+1) run.  Returns true if a fold was committed (or the store
-  /// changed underfoot and planning should rerun), false when the store
-  /// is fully compacted.  Crash-safe: the run file commits by atomic
-  /// write-then-rename before the index is rewritten, and a failure at
-  /// any point leaves every committed artifact intact — at worst an
-  /// orphan run file that gc() sweeps.  \p Stats, when given, accumulates
-  /// what the fold accomplished.
+  /// shards into a level-1 run, or the oldest Fanout root level-L runs
+  /// into a level-(L+1) run that keeps them as children.  A source run
+  /// whose bytes fail their digest is folded from its members instead.
+  /// Returns true if a fold was committed (or the store changed underfoot
+  /// and planning should rerun), false when the store is fully compacted.
+  /// Crash-safe: the run file commits by atomic write-then-rename before
+  /// the index is rewritten, and a failure at any point leaves every
+  /// committed artifact intact — at worst an orphan run file that gc()
+  /// sweeps.  \p Stats, when given, accumulates what the fold
+  /// accomplished.
   Expected<bool> compactStep(ThreadPool *Pool = nullptr,
                              CompactionStats *Stats = nullptr);
 
@@ -259,7 +276,8 @@ public:
   /// still-valid), object files the index does not name, run files
   /// without a live manifest, and stale .tmp residue.  With
   /// GcOptions::ExpireBeforeNs, first drops shards older than the cutoff
-  /// and retires runs that overlap them.
+  /// and retires the runs over them; their siblings stay for the next
+  /// compaction to refold.
   Expected<GcStats> gc();
   Expected<GcStats> gc(const GcOptions &GcOpts);
 
@@ -272,7 +290,9 @@ private:
   /// One planned fold, selected under the ingest lock.
   struct CompactionPlan {
     uint32_t OutLevel = 1;
-    std::vector<Sha256Digest> SourceRuns;   ///< Runs folded (level >= 2).
+    /// Root runs folded (level >= 2), copied so a damaged one can fall
+    /// back to its members outside the lock.
+    std::vector<RunInfo> SourceRuns;
     std::vector<Sha256Digest> SourceShards; ///< Shards folded (level 1).
     std::vector<Sha256Digest> Members;      ///< Union member set, sorted.
     uint64_t MinTimeNs = 0;
@@ -283,7 +303,12 @@ private:
   Error saveIndex() const;
   const ShardInfo *findShard(const Sha256Digest &Digest) const;
   const RunInfo *findRun(const Sha256Digest &Digest) const;
-  /// Picks the next fold (lowest level first, oldest inputs first).
+  /// Every child digest some run names, sorted: the shards level-1 runs
+  /// cover and the runs that are no longer roots.
+  std::vector<Sha256Digest> claimedChildren() const;
+  /// Validates the run tree a v3 index loaded and derives Members.
+  Error checkRunTree(const std::string &Path);
+  /// Picks the next fold (lowest level first, oldest root inputs first).
   /// Caller holds the ingest lock.  False when fully compacted.
   bool planCompaction(CompactionPlan &Plan) const;
   Error checkCompatibleWithStore(const ProfileData &Data,
@@ -296,7 +321,7 @@ private:
   std::string Root;
   StoreOptions Options;
   std::vector<ShardInfo> Shards; ///< Sorted by digest.
-  std::vector<RunInfo> Runs;     ///< Sorted by digest; disjoint members.
+  std::vector<RunInfo> Runs;     ///< Sorted by digest; one merge tree.
   /// Single-writer lock over Shards, Runs, and the index.bin
   /// write-then-rename: simultaneous put() calls from daemon worker
   /// threads must not interleave the rewrite and drop each other's

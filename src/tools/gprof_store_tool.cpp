@@ -732,11 +732,9 @@ int cmdCompact(int Argc, const char *const *Argv) {
   auto Stats = Store->compact(&Pool);
   if (!Stats)
     return fail(Stats.message());
-  std::printf("compaction: %u step(s), folded %llu input(s), retired "
-              "%u run(s)\n",
+  std::printf("compaction: %u step(s), folded %llu input(s)\n",
               Stats->Steps,
-              static_cast<unsigned long long>(Stats->ShardsFolded),
-              Stats->RunsRetired);
+              static_cast<unsigned long long>(Stats->ShardsFolded));
   std::printf("store now holds %zu shard(s) in %zu run(s) + loose\n",
               Store->shards().size(), Store->runs().size());
   maybeDumpStats(Opts);

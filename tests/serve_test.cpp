@@ -339,12 +339,28 @@ TEST(ServeProtocolTest, PayloadCodecsRoundTrip) {
   List[0].NumArcs = 5;
   List[1].Digest.fill(2);
   List[1].Runs = 3;
-  auto ListBack = decodeShardList(encodeShardList(List));
+  List[1].CaptureTimeNs = 1760000000123456789ull;
+  std::vector<uint8_t> ListBytes = encodeShardList(List);
+  auto ListBack = decodeShardList(ListBytes);
   ASSERT_TRUE(static_cast<bool>(ListBack));
   ASSERT_EQ(ListBack->size(), 2u);
   EXPECT_EQ((*ListBack)[0].Digest, List[0].Digest);
   EXPECT_EQ((*ListBack)[0].Hz, 60u);
+  EXPECT_EQ((*ListBack)[0].CaptureTimeNs, 0u);
   EXPECT_EQ((*ListBack)[1].Runs, 3u);
+  EXPECT_EQ((*ListBack)[1].CaptureTimeNs, List[1].CaptureTimeNs);
+
+  // Revision-2 rows lack the trailing capture time: a revision-3 decoder
+  // fails on them instead of misreading the rows.
+  constexpr size_t Rev3Row = 32 + 32 + 7 * 8 + 4 + 8;
+  std::vector<uint8_t> Rev2Bytes(ListBytes.begin(), ListBytes.begin() + 8);
+  for (size_t Row = 0; Row != List.size(); ++Row) {
+    auto At = ListBytes.begin() + 8 + Row * Rev3Row;
+    Rev2Bytes.insert(Rev2Bytes.end(), At, At + Rev3Row - 8);
+  }
+  auto Rev2 = decodeShardList(Rev2Bytes);
+  ASSERT_FALSE(static_cast<bool>(Rev2));
+  (void)Rev2.takeError();
 }
 
 TEST(ServeProtocolTest, DecodersSurviveTruncationAndMutation) {
@@ -436,6 +452,25 @@ TEST_F(ServeTest, PingPutListQueryRoundTrip) {
   ASSERT_TRUE(static_cast<bool>(Store));
   ASSERT_EQ(Store->shards().size(), 1u);
   EXPECT_EQ(Store->shards().front().Digest, Digest);
+}
+
+TEST_F(ServeTest, ListCarriesCaptureTimes) {
+  // Remote clients window by capture time, so LIST must return the stamps
+  // put() recorded, not zeros.
+  Daemon D("list_capture");
+  ServeClient Client(D.SocketPath);
+  for (size_t I = 0; I != 2; ++I)
+    cantFail(Client.putShard((*Shards)[I], *ImageId).takeError());
+  auto Listed = Client.list();
+  ASSERT_TRUE(static_cast<bool>(Listed));
+  std::vector<ShardInfo> Indexed = D.Server->store().shardsSnapshot();
+  ASSERT_EQ(Listed->size(), Indexed.size());
+  ASSERT_EQ(Listed->size(), 2u);
+  for (size_t I = 0; I != Indexed.size(); ++I) {
+    EXPECT_EQ((*Listed)[I].Digest, Indexed[I].Digest);
+    EXPECT_NE((*Listed)[I].CaptureTimeNs, 0u);
+    EXPECT_EQ((*Listed)[I].CaptureTimeNs, Indexed[I].CaptureTimeNs);
+  }
 }
 
 TEST_F(ServeTest, DaemonReportMatchesOfflineAfterConcurrentPush) {

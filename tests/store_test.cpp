@@ -15,6 +15,7 @@
 #include "gmon/GmonFile.h"
 #include "store/MergeEngine.h"
 #include "store/ProfileStore.h"
+#include "support/BinaryStream.h"
 #include "support/FileUtils.h"
 #include "support/Random.h"
 #include "support/Sha256.h"
@@ -73,6 +74,52 @@ std::vector<ProfileData> makeShards(size_t N, uint64_t Seed) {
     Shards.push_back(std::move(D));
   }
   return Shards;
+}
+
+/// Adds \p Delta to one histogram bucket of the run file for \p Run:
+/// damage that still parses, so only the content digest can catch it.
+void corruptRunCount(const ProfileStore &Store, const RunInfo &Run,
+                     uint64_t Delta) {
+  std::string Path = Store.runPath(Run.Digest);
+  ProfileData Data = cantFail(readGmonFile(Path));
+  Data.Hist.setBucketCount(0, Data.Hist.bucketCount(0) + Delta);
+  cantFail(writeFileBytes(Path, writeGmon(Data)));
+}
+
+/// Encodes index.bin by hand, as docs/FORMATS.md lays it out: version-2
+/// runs carry their flat member lists, version-3 runs their content
+/// digest and children.
+std::vector<uint8_t> encodeIndex(uint32_t Version,
+                                 const std::vector<ShardInfo> &Shards,
+                                 const std::vector<RunInfo> &Runs) {
+  BinaryWriter W;
+  W.writeBytes(reinterpret_cast<const uint8_t *>("GPSI"), 4);
+  W.writeU32(Version);
+  W.writeU64(Shards.size());
+  for (const ShardInfo &S : Shards) {
+    W.writeBytes(S.Digest.data(), S.Digest.size());
+    W.writeBytes(S.ImageId.data(), S.ImageId.size());
+    for (uint64_t Field : {S.Hz, S.LowPc, S.HighPc, S.BucketSize,
+                           S.NumBuckets, S.NumArcs, S.TotalSamples})
+      W.writeU64(Field);
+    W.writeU32(S.Runs);
+    W.writeU64(S.CaptureTimeNs);
+  }
+  W.writeU64(Runs.size());
+  for (const RunInfo &R : Runs) {
+    W.writeBytes(R.Digest.data(), R.Digest.size());
+    if (Version >= 3)
+      W.writeBytes(R.ContentDigest.data(), R.ContentDigest.size());
+    W.writeU32(R.Level);
+    W.writeU64(R.MinTimeNs);
+    W.writeU64(R.MaxTimeNs);
+    const std::vector<Sha256Digest> &List =
+        Version >= 3 ? R.Children : R.Members;
+    W.writeU64(List.size());
+    for (const Sha256Digest &D : List)
+      W.writeBytes(D.data(), D.size());
+  }
+  return W.takeBytes();
 }
 
 /// Deterministic Fisher-Yates shuffle.
@@ -688,9 +735,10 @@ TEST(CompactionTest, ReportBytesInvariantAtEveryState) {
   EXPECT_EQ(Steps, 6u);
   EXPECT_FALSE(Store->compactionPending());
 
-  // Fully compacted: 1 L2 run (16 shards) + 1 L1 run (4 shards), nothing
-  // loose — the final merge touched 2 inputs, not 20.
-  ASSERT_EQ(Store->runs().size(), 2u);
+  // Fully compacted: 5 L1 runs, 4 of them kept as the children of 1 L2
+  // run.  The final merge covers the store with the L2 run (16 shards)
+  // and the fifth L1 run (4 shards) — 2 inputs, not 20.
+  ASSERT_EQ(Store->runs().size(), 6u);
   cantFail(removeFile(Store->cachePath(Reference->Digest)));
   auto Final = Store->merge({});
   ASSERT_TRUE(static_cast<bool>(Final));
@@ -759,8 +807,8 @@ TEST(CompactionTest, DamagedRunFallsBackToMembers) {
 }
 
 TEST(CompactionTest, RunsPersistAcrossReopen) {
-  // Index format v2 round-trip: run manifests (level, window, members)
-  // survive close/reopen.
+  // Index format v3 round-trip: run records (level, window, children,
+  // content digest) survive close/reopen, and members derive again.
   TempStoreDir Dir("compact_reopen");
   StoreOptions SO;
   SO.CompactionFanout = 4;
@@ -783,6 +831,8 @@ TEST(CompactionTest, RunsPersistAcrossReopen) {
     EXPECT_EQ(Store->runs()[I].Level, Before[I].Level);
     EXPECT_EQ(Store->runs()[I].MinTimeNs, Before[I].MinTimeNs);
     EXPECT_EQ(Store->runs()[I].MaxTimeNs, Before[I].MaxTimeNs);
+    EXPECT_EQ(Store->runs()[I].ContentDigest, Before[I].ContentDigest);
+    EXPECT_EQ(Store->runs()[I].Children, Before[I].Children);
     EXPECT_EQ(Store->runs()[I].Members, Before[I].Members);
   }
   // Windows cover the members' capture times (oldest-first folding: the
@@ -919,4 +969,298 @@ TEST(CompactionTest, ThreadCountInvariantOnCompactedStore) {
   ASSERT_TRUE(static_cast<bool>(B));
   EXPECT_EQ(A->Digest, B->Digest);
   EXPECT_EQ(writeGmon(A->Data), writeGmon(B->Data));
+}
+
+TEST(CompactionTest, CorruptRunThatStillParsesFallsBack) {
+  // A run file whose bytes changed but still parse used to be summed as
+  // is.  Its content digest now fails the load, and merge() falls back to
+  // the member objects.
+  TempStoreDir Dir("compact_corrupt_run");
+  StoreOptions SO;
+  SO.CompactionFanout = 8;
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  for (uint64_t S = 0; S != 8; ++S)
+    cantFail(Store->put(makeShard(4100 + S), Sha256Digest{}, "profile",
+                        1 + S));
+  auto Reference = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(Reference));
+  cantFail(Store->compact().takeError());
+  ASSERT_EQ(Store->runs().size(), 1u);
+  cantFail(removeFile(Store->cachePath(Reference->Digest)));
+  corruptRunCount(*Store, Store->runs()[0], 50);
+
+  telemetry::Metric &Fallbacks = telemetry::gauge("store.merge.run_fallbacks");
+  uint64_t Before = Fallbacks.value();
+  auto Merged = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(Merged));
+  EXPECT_EQ(Merged->Data.Hist.totalSamples(),
+            Reference->Data.Hist.totalSamples());
+  EXPECT_EQ(writeGmon(Merged->Data), writeGmon(Reference->Data));
+  EXPECT_EQ(Merged->RunsUsed, 0u);
+  EXPECT_EQ(Merged->InputsMerged, 8u);
+  EXPECT_EQ(Fallbacks.value(), Before + 1);
+}
+
+TEST(CompactionTest, CorruptSourceRunFoldsFromMembers) {
+  // A damaged level-1 run under a pending level-2 fold must not stop the
+  // fold, nor leak into it: the fold reads that source's member objects,
+  // and the new run equals the flat merge byte for byte.
+  TempStoreDir Dir("compact_corrupt_source");
+  StoreOptions SO;
+  SO.CompactionFanout = 4;
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  for (uint64_t S = 0; S != 16; ++S)
+    cantFail(Store->put(makeShard(4200 + S), Sha256Digest{}, "profile",
+                        1 + S));
+  auto Reference = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(Reference));
+  for (int I = 0; I != 4; ++I)
+    ASSERT_TRUE(cantFail(Store->compactStep()));
+  ASSERT_EQ(Store->runs().size(), 4u);
+  ASSERT_TRUE(Store->compactionPending());
+  corruptRunCount(*Store, Store->runs()[2], 50);
+
+  telemetry::Metric &Fallbacks =
+      telemetry::gauge("store.compact.run_fallbacks");
+  uint64_t Before = Fallbacks.value();
+  ASSERT_TRUE(cantFail(Store->compactStep()));
+  EXPECT_EQ(Fallbacks.value(), Before + 1);
+  EXPECT_FALSE(Store->compactionPending());
+  const RunInfo *Top = nullptr;
+  for (const RunInfo &R : Store->runs())
+    if (R.Level == 2)
+      Top = &R;
+  ASSERT_NE(Top, nullptr);
+  EXPECT_EQ(Top->Digest, Reference->Digest);
+  EXPECT_EQ(cantFail(readFileBytes(Store->runPath(Top->Digest))),
+            writeGmon(Reference->Data));
+}
+
+TEST(CompactionTest, AlignedWindowReadsOneRun) {
+  // Folds keep their sources, so a capture-time window aligned to a
+  // subtree reads that subtree's one run.  64 shards at fanout 4 keep 16
+  // L1, 4 L2 and 1 L3 runs.
+  constexpr unsigned Fanout = 4, NumShards = 64;
+  TempStoreDir Dir("compact_aligned"), FlatDir("compact_aligned_flat");
+  StoreOptions SO;
+  SO.CompactionFanout = Fanout;
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  auto Flat = ProfileStore::open(FlatDir.Path);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  ASSERT_TRUE(static_cast<bool>(Flat));
+  std::vector<Sha256Digest> ByTime;
+  for (uint64_t S = 0; S != NumShards; ++S) {
+    ByTime.push_back(cantFail(Store->put(makeShard(4300 + S), Sha256Digest{},
+                                         "profile", 1000 + S)));
+    cantFail(Flat->put(makeShard(4300 + S)).takeError());
+  }
+  cantFail(Store->compact().takeError());
+  ASSERT_EQ(Store->runs().size(), 21u);
+
+  auto Window = [&](size_t Lo, size_t Width) {
+    return std::vector<Sha256Digest>(ByTime.begin() + Lo,
+                                     ByTime.begin() + Lo + Width);
+  };
+  auto ExpectFlatBytes = [&](const ProfileStore::MergeResult &Got,
+                             const std::vector<Sha256Digest> &Members) {
+    auto Want = Flat->merge(Members);
+    ASSERT_TRUE(static_cast<bool>(Want));
+    EXPECT_EQ(writeGmon(Got.Data), writeGmon(Want->Data));
+  };
+  for (size_t Lo = 0; Lo != NumShards; Lo += 16) {
+    auto Merged = Store->merge(Window(Lo, 16));
+    ASSERT_TRUE(static_cast<bool>(Merged)) << "window at " << Lo;
+    EXPECT_EQ(Merged->InputsMerged, 1u) << "window at " << Lo;
+    EXPECT_EQ(Merged->RunsUsed, 1u) << "window at " << Lo;
+    ExpectFlatBytes(*Merged, Window(Lo, 16));
+  }
+
+  // Offset by 8, a 16-shard window straddles two L2 subtrees: it reads 4
+  // L1 runs, within 2(F-1) per level.
+  auto Offset = Store->merge(Window(8, 16));
+  ASSERT_TRUE(static_cast<bool>(Offset));
+  EXPECT_EQ(Offset->InputsMerged, 4u);
+  EXPECT_EQ(Offset->RunsUsed, 4u);
+  EXPECT_LE(Offset->RunsUsed, 2 * (Fanout - 1));
+  ExpectFlatBytes(*Offset, Window(8, 16));
+  // A 32-shard window offset by 8 reads runs of two levels: 2 L1, one L2
+  // and 2 L1 again.
+  auto Wide = Store->merge(Window(8, 32));
+  ASSERT_TRUE(static_cast<bool>(Wide));
+  EXPECT_EQ(Wide->InputsMerged, 5u);
+  EXPECT_EQ(Wide->RunsUsed, 5u);
+  ExpectFlatBytes(*Wide, Window(8, 32));
+}
+
+TEST(CompactionTest, ExpiryRetiresRunAndAncestorsKeepsSiblings) {
+  // 16 shards at fanout 4: 4 L1 runs under 1 L2 run.  Expiring the 4
+  // oldest shards retires their L1 run and the L2 above it; the other L1
+  // runs stay, reports stay exact, and compaction refolds them later.
+  TempStoreDir Dir("compact_nested_expiry"), FlatDir("compact_nested_flat");
+  StoreOptions SO;
+  SO.CompactionFanout = 4;
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  auto Flat = ProfileStore::open(FlatDir.Path);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  ASSERT_TRUE(static_cast<bool>(Flat));
+  for (uint64_t S = 0; S != 16; ++S) {
+    cantFail(Store->put(makeShard(4400 + S), Sha256Digest{}, "profile",
+                        100 + S));
+    if (S >= 4)
+      cantFail(Flat->put(makeShard(4400 + S)).takeError());
+  }
+  cantFail(Store->compact().takeError());
+  ASSERT_EQ(Store->runs().size(), 5u);
+
+  GcOptions GO;
+  GO.ExpireBeforeNs = 104;
+  auto Stats = Store->gc(GO);
+  ASSERT_TRUE(static_cast<bool>(Stats));
+  EXPECT_EQ(Stats->ExpiredShards, 4u);
+  EXPECT_EQ(Stats->RetiredRuns, 2u);
+  EXPECT_EQ(Stats->OrphanRuns, 2u); // the two retired run files
+  ASSERT_EQ(Store->runs().size(), 3u);
+  for (const RunInfo &R : Store->runs())
+    EXPECT_EQ(R.Level, 1u);
+  EXPECT_FALSE(Store->compactionPending());
+
+  auto Survivors = Store->merge({});
+  auto Want = Flat->merge({});
+  ASSERT_TRUE(static_cast<bool>(Survivors));
+  ASSERT_TRUE(static_cast<bool>(Want));
+  EXPECT_EQ(Survivors->RunsUsed, 3u);
+  EXPECT_EQ(writeGmon(Survivors->Data), writeGmon(Want->Data));
+
+  // Four more shards: a new L1 run, and the siblings fold with it into a
+  // new L2 run that covers the whole store.
+  for (uint64_t S = 16; S != 20; ++S) {
+    cantFail(Store->put(makeShard(4400 + S), Sha256Digest{}, "profile",
+                        100 + S));
+    cantFail(Flat->put(makeShard(4400 + S)).takeError());
+  }
+  auto Again = Store->compact();
+  ASSERT_TRUE(static_cast<bool>(Again));
+  EXPECT_EQ(Again->Steps, 2u);
+  EXPECT_FALSE(Store->compactionPending());
+  EXPECT_EQ(Store->runs().size(), 5u);
+  auto Refolded = Store->merge({});
+  Want = Flat->merge({});
+  ASSERT_TRUE(static_cast<bool>(Refolded));
+  ASSERT_TRUE(static_cast<bool>(Want));
+  EXPECT_EQ(Refolded->InputsMerged, 1u);
+  EXPECT_EQ(writeGmon(Refolded->Data), writeGmon(Want->Data));
+}
+
+TEST(CompactionTest, V2IndexOpensWithShardsAndNoRuns) {
+  // A v2 run carries no content digest to verify, so a v2 index opens
+  // with its shards only; its run file is an orphan for gc, and the next
+  // compaction builds the tree.
+  TempStoreDir Dir("index_v2");
+  StoreOptions SO;
+  SO.CompactionFanout = 4;
+  std::vector<ShardInfo> Shards;
+  RunInfo Old;
+  {
+    auto Store = ProfileStore::open(Dir.Path, SO);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    for (uint64_t S = 0; S != 4; ++S)
+      cantFail(Store->put(makeShard(4500 + S), Sha256Digest{}, "profile",
+                          10 + S));
+    Shards = Store->shards();
+    Old.Members = {Shards[0].Digest, Shards[1].Digest};
+    Old.Digest = ProfileStore::aggregateDigest(Old.Members);
+    Old.MinTimeNs = 10;
+    Old.MaxTimeNs = 11;
+    auto Pair = Store->merge(Old.Members);
+    ASSERT_TRUE(static_cast<bool>(Pair));
+    cantFail(writeFileBytes(Store->runPath(Old.Digest),
+                            writeGmon(Pair->Data)));
+  }
+  cantFail(writeFileBytes(Dir.Path + "/index.bin",
+                          encodeIndex(2, Shards, {Old})));
+
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Store)) << Store.message();
+  EXPECT_EQ(Store->shards().size(), 4u);
+  EXPECT_EQ(Store->shards()[0].CaptureTimeNs, Shards[0].CaptureTimeNs);
+  EXPECT_TRUE(Store->runs().empty());
+  EXPECT_TRUE(Store->compactionPending());
+
+  cantFail(Store->compact().takeError());
+  ASSERT_EQ(Store->runs().size(), 1u);
+  EXPECT_EQ(Store->runs()[0].Members.size(), 4u);
+  auto Stats = Store->gc();
+  ASSERT_TRUE(static_cast<bool>(Stats));
+  EXPECT_EQ(Stats->OrphanRuns, 1u);
+  EXPECT_FALSE(fileExists(Store->runPath(Old.Digest)));
+  EXPECT_TRUE(fileExists(Store->runPath(Store->runs()[0].Digest)));
+
+  // The rebuilt tree persists as v3.
+  auto Reopened = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Reopened));
+  EXPECT_EQ(Reopened->runs().size(), 1u);
+}
+
+TEST(CompactionTest, V3IndexRejectsBrokenTree) {
+  // 8 shards at fanout 2: 4 L1, 2 L2 and 1 L3 run.
+  TempStoreDir Dir("index_v3_tree");
+  StoreOptions SO;
+  SO.CompactionFanout = 2;
+  std::vector<ShardInfo> Shards;
+  std::vector<RunInfo> Runs;
+  {
+    auto Store = ProfileStore::open(Dir.Path, SO);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    for (uint64_t S = 0; S != 8; ++S)
+      cantFail(Store->put(makeShard(4600 + S), Sha256Digest{}, "profile",
+                          1 + S));
+    cantFail(Store->compact().takeError());
+    Shards = Store->shards();
+    Runs = Store->runs();
+  }
+  ASSERT_EQ(Runs.size(), 7u);
+  // The on-disk index is exactly the documented v3 layout.
+  const std::string IndexPath = Dir.Path + "/index.bin";
+  ASSERT_EQ(cantFail(readFileBytes(IndexPath)), encodeIndex(3, Shards, Runs));
+
+  auto ExpectRejected = [&](const std::vector<RunInfo> &Broken,
+                            const std::string &Why) {
+    cantFail(writeFileBytes(IndexPath, encodeIndex(3, Shards, Broken)));
+    auto Store = ProfileStore::open(Dir.Path, SO);
+    ASSERT_FALSE(static_cast<bool>(Store)) << Why;
+    EXPECT_NE(Store.message().find(Why), std::string::npos)
+        << Store.message();
+  };
+  std::vector<size_t> L2;
+  for (size_t I = 0; I != Runs.size(); ++I)
+    if (Runs[I].Level == 2)
+      L2.push_back(I);
+  ASSERT_EQ(L2.size(), 2u);
+
+  std::vector<RunInfo> Missing = Runs;
+  Missing[L2[0]].Children[0].fill(0xAB);
+  ExpectRejected(Missing, "not in the index");
+
+  std::vector<RunInfo> WrongLevel = Runs;
+  WrongLevel[L2[0]].Level = 3;
+  ExpectRejected(WrongLevel, "names level-");
+
+  std::vector<RunInfo> TwoParents = Runs;
+  TwoParents[L2[1]].Children[0] = TwoParents[L2[0]].Children[0];
+  ExpectRejected(TwoParents, "two runs claim");
+
+  // A newer index version is refused, as this one is by older readers.
+  cantFail(writeFileBytes(IndexPath, encodeIndex(4, Shards, Runs)));
+  auto Newer = ProfileStore::open(Dir.Path, SO);
+  ASSERT_FALSE(static_cast<bool>(Newer));
+  EXPECT_NE(Newer.message().find("unsupported index version"),
+            std::string::npos);
+
+  // The intact tree opens again.
+  cantFail(writeFileBytes(IndexPath, encodeIndex(3, Shards, Runs)));
+  auto Intact = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Intact)) << Intact.message();
+  EXPECT_EQ(Intact->runs().size(), 7u);
 }
