@@ -113,7 +113,7 @@ int main() {
   Ok &= check(SawBigCycle,
               "a few back arcs fuse whole subsystems into large cycles");
   Ok &= check(WorstLoss < 1.0,
-              "information lost (traversal counts removed) is under 1%% — "
+              "information lost (traversal counts removed) is under 1% — "
               "\"far less than the information gained\"");
   Ok &= check(GreedyTotal <= 2 * ExactTotal + 2,
               "the bounded greedy heuristic stays near the NP-complete "

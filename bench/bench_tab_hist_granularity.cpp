@@ -132,7 +132,7 @@ int main() {
   Ok &= check(BytesAt64 * 32 <= BytesAt1,
               "coarser histograms cost proportionally less space");
   Ok &= check(MaxErr[4] < 0.02,
-              "modest coarsening keeps attribution within 2%% — the "
+              "modest coarsening keeps attribution within 2% — the "
               "practical \"finer or coarser\" dial");
   return Ok ? 0 : 1;
 }

@@ -173,10 +173,10 @@ int main() {
   Ok &= check(ResultsMatch,
               "profiling never changes program results");
   Ok &= check(MaxFullCycleOvh <= 35.0,
-              "full profiling overhead stays within ~the 5-30%% band "
-              "(<=35%% even for the call-heaviest microworkload)");
+              "full profiling overhead stays within ~the 5-30% band "
+              "(<=35% even for the call-heaviest microworkload)");
   Ok &= check(MinFullCycleOvhCallHeavy >= 5.0,
-              "call-heavy code pays at least the bottom of the band (>=5%%)");
+              "call-heavy code pays at least the bottom of the band (>=5%)");
   Ok &= check(LoopFullCycleOvh < 5.0,
               "loop-dominated code pays almost nothing (routines not "
               "entered are not charged)");

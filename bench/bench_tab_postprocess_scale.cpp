@@ -17,6 +17,12 @@
 ///  - the prof(1) flat-only baseline (no propagation at all), which
 ///    bounds the cost gprof adds over its predecessor.
 ///
+/// Every row also times the two §5 listings printed from that report, and
+/// one extra row uses the cyclic `wide` shape (10,001 routines, a ring of
+/// 2-18 routines every 50), where printing used to cost 40 times the
+/// analysis; a full run checks that the call graph listing now takes no
+/// longer than the analysis there.
+///
 /// A second section guards the read-path overhaul (docs/READPATH.md): it
 /// times the flat-resolver symbolize phase against a bench-local replica
 /// of the pre-overhaul path (AoS upper_bound per endpoint, std::map
@@ -31,6 +37,8 @@
 
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
+#include "core/FlatPrinter.h"
+#include "core/GraphPrinter.h"
 #include "gmon/GmonFile.h"
 #include "graph/Generators.h"
 #include "prof/ProfBaseline.h"
@@ -80,6 +88,30 @@ void realize(const CallGraph &G, uint64_t Seed, SymbolTable &Syms,
       H.recordPc(Base + N * FuncSize + 1);
   }
   Data.Hist = std::move(H);
+}
+
+/// The cyclic `wide` shape: \p N routines in a fixed order, each calling
+/// four routines at most 97 places later, plus a ring of 2-18 routines
+/// every 50, closed by one back arc.  Back arcs stay inside their ring, so
+/// each ring is exactly one cycle.
+CallGraph makeWideGraph(uint32_t N, uint64_t Seed) {
+  SplitMix64 Rng(Seed);
+  CallGraph G;
+  for (uint32_t I = 0; I != N; ++I)
+    G.addNode(format("fn%05u", I));
+  for (uint32_t I = 0; I + 1 < N; ++I)
+    for (int J = 0; J != 4; ++J)
+      G.addArc(I,
+               I + 1 +
+                   static_cast<uint32_t>(Rng.nextBelow(
+                       std::min<uint64_t>(N - I - 1, 97))),
+               1 + Rng.nextBelow(50));
+  for (uint32_t Lo = 0; Lo + 18 <= N; Lo += 50) {
+    uint32_t Len = 2 + static_cast<uint32_t>(Rng.nextBelow(17));
+    for (uint32_t I = 0; I != Len; ++I)
+      G.addArc(Lo + I, Lo + (I + 1) % Len, 1 + Rng.nextBelow(9));
+  }
+  return G;
 }
 
 /// The strawman: iterate T = S + sum(frac * T_child) until convergence.
@@ -214,43 +246,63 @@ int main(int argc, char **argv) {
          "single-traversal propagation vs naive fixpoint vs prof");
 
   std::printf("\n(gprof ms is the FULL pipeline: symbolize + Tarjan + "
-              "collapse + propagate + sort;\n fixpoint ms is the "
+              "collapse + propagate + sort;\n flat ms and graph ms print "
+              "the two listings from that report;\n fixpoint ms is the "
               "propagation step alone, repeated until convergence — it "
               "traverses\n every arc 'sweeps' times where the topological "
               "method traverses each arc once)\n\n");
-  row({"routines", "arcs", "gprof ms", "fixpoint ms", "sweeps", "prof ms",
-       "agree"},
+  row({"routines", "arcs", "gprof ms", "flat ms", "graph ms", "fixpoint ms",
+       "sweeps", "prof ms", "agree"},
       12);
 
+  BenchJson Json("postprocess_scale");
   bool Ok = true;
   double LastGprofMs = 0.0;
+  struct Listing {
+    ProfileReport Report;
+    double AnalyzeMs = 0.0, FlatMs = 0.0, GraphMs = 0.0, ProfMs = 0.0;
+  };
+  // Times the analysis, both listings and prof over one graph, and records
+  // the row in the JSON output.
+  auto Measure = [&](const CallGraph &G, uint64_t Seed) {
+    Listing L;
+    SymbolTable Syms;
+    ProfileData Data;
+    realize(G, Seed, Syms, Data);
+    Analyzer An(std::move(Syms));
+    L.AnalyzeMs =
+        timeMs([&] { L.Report = cantFail(An.analyze(Data)); }, Reps);
+    L.FlatMs = timeMs([&] { (void)printFlatProfile(L.Report); }, Reps);
+    L.GraphMs = timeMs([&] { (void)printCallGraph(L.Report); }, Reps);
+    // prof flat-only baseline over the same inputs.
+    SymbolTable ProfSyms;
+    ProfileData ProfData;
+    realize(G, Seed, ProfSyms, ProfData);
+    L.ProfMs = timeMs([&] { (void)analyzeProf(ProfSyms, ProfData); }, Reps);
+    Json.beginRow();
+    Json.setRow("mode", std::string("listing"));
+    Json.setRow("routines", static_cast<uint64_t>(G.numNodes()));
+    Json.setRow("arcs", static_cast<uint64_t>(G.numArcs()));
+    Json.setRow("cycles", static_cast<uint64_t>(L.Report.Cycles.size()));
+    Json.setRow("analyze_ms", L.AnalyzeMs);
+    Json.setRow("flat_print_ms", L.FlatMs);
+    Json.setRow("graph_print_ms", L.GraphMs);
+    return L;
+  };
 
   std::vector<uint32_t> Sizes = {200u, 1000u, 5000u, 20000u, 50000u};
   if (Smoke)
     Sizes = {200u, 1000u};
   for (uint32_t N : Sizes) {
     CallGraph G = makeRandomDag(N, N * 4, 50, /*Seed=*/N);
-    SymbolTable Syms;
-    ProfileData Data;
-    realize(G, N + 1, Syms, Data);
-
-    Analyzer An(std::move(Syms));
-    ProfileReport Report;
-    double GprofMs =
-        timeMs([&] { Report = cantFail(An.analyze(Data)); }, Reps);
-    LastGprofMs = GprofMs;
+    Listing L = Measure(G, N + 1);
+    const ProfileReport &Report = L.Report;
+    LastGprofMs = L.AnalyzeMs;
 
     std::vector<double> NaiveTotal;
     unsigned Sweeps = 0;
     double NaiveMs =
         timeMs([&] { Sweeps = naiveFixpoint(G, Report, NaiveTotal); }, Reps);
-
-    // prof flat-only baseline over the same inputs.
-    SymbolTable ProfSyms;
-    ProfileData ProfData;
-    realize(G, N + 1, ProfSyms, ProfData);
-    double ProfMs =
-        timeMs([&] { (void)analyzeProf(ProfSyms, ProfData); }, Reps);
 
     // Cross-check: both propagation schemes compute the same totals.
     bool Agree = true;
@@ -260,11 +312,26 @@ int main(int argc, char **argv) {
     Ok &= Agree;
 
     row({format("%u", N), format("%zu", G.numArcs()),
-         formatFixed(GprofMs, 1), formatFixed(NaiveMs, 1),
-         format("%u", Sweeps), formatFixed(ProfMs, 1),
+         formatFixed(L.AnalyzeMs, 1), formatFixed(L.FlatMs, 1),
+         formatFixed(L.GraphMs, 1), formatFixed(NaiveMs, 1),
+         format("%u", Sweeps), formatFixed(L.ProfMs, 1),
          Agree ? "yes" : "NO"},
         12);
   }
+
+  // The cyclic row.  The naive fixpoint assumes an acyclic graph, so it
+  // has no column here.
+  const uint32_t WideN = 10001;
+  CallGraph Wide = makeWideGraph(WideN, /*Seed=*/WideN);
+  Listing WideL = Measure(Wide, WideN + 1);
+  row({format("%u*", WideN), format("%zu", Wide.numArcs()),
+       formatFixed(WideL.AnalyzeMs, 1), formatFixed(WideL.FlatMs, 1),
+       formatFixed(WideL.GraphMs, 1), "-", "-",
+       formatFixed(WideL.ProfMs, 1), "-"},
+      12);
+  std::printf("\n* the cyclic `wide` shape: %zu cycles of 2-18 routines, "
+              "one every 50 routines\n",
+              WideL.Report.Cycles.size());
 
   //--- Symbolize throughput: flat resolver vs the pre-overhaul path. ------
   const uint32_t SymN = Smoke ? 20000u : 100000u;
@@ -272,8 +339,6 @@ int main(int argc, char **argv) {
   SymbolTable SymSyms;
   ProfileData SymData;
   makeSymbolizeCorpus(SymN, SymRecords, SymSyms, SymData);
-
-  BenchJson Json("postprocess_scale");
 
   std::printf("\nsymbolize throughput over %u routines, %zu raw records\n"
               "(legacy = AoS upper_bound + std::map accumulation, the "
@@ -367,6 +432,13 @@ int main(int argc, char **argv) {
   Ok &= check(LastGprofMs < 30000.0,
               "post-processing stays a fast separate pass even at 50k "
               "routines");
+  // A timing comparison, so only full runs (best of three) gate on it.
+  if (!Smoke)
+    Ok &= check(WideL.GraphMs <= WideL.AnalyzeMs,
+                format("the call graph listing takes no longer than the "
+                       "analysis on the cyclic %u-routine shape (%.1f vs "
+                       "%.1f ms)",
+                       WideN, WideL.GraphMs, WideL.AnalyzeMs));
   Ok &= check(SymAgree,
               "flat symbolize agrees with the legacy replica (fn arcs and "
               "unknown callees)");

@@ -28,6 +28,9 @@ std::string gprof::printFlatProfile(const ProfileReport &Report,
   Out += "  %   cumulative   self              self     total\n";
   Out += " time   seconds   seconds    calls  ms/call  ms/call  name\n";
 
+  // Each row is "%5s %10.2f %9.2f %8s %8s %8s  %s\n", appended field by
+  // field; the percent reads 0.0 when no time was attributed, and the
+  // three per-call columns are blank for a routine never called.
   double Cumulative = 0.0;
   for (uint32_t I : Report.FlatOrder) {
     const FunctionEntry &F = Report.Functions[I];
@@ -35,35 +38,48 @@ std::string gprof::printFlatProfile(const ProfileReport &Report,
       continue;
     Cumulative += F.SelfTime;
 
-    std::string Calls = "";
-    std::string SelfPerCall = "";
-    std::string TotalPerCall = "";
+    if (Report.TotalTime == 0.0)
+      Out += "  0.0";
+    else
+      appendFixed(Out, 100.0 * F.SelfTime / Report.TotalTime, 1, 5);
+    Out += ' ';
+    appendFixed(Out, Cumulative, 2, 10);
+    Out += ' ';
+    appendFixed(Out, F.SelfTime, 2, 9);
     if (F.totalCalls() != 0) {
-      Calls = format("%llu",
-                     static_cast<unsigned long long>(F.totalCalls()));
       double N = static_cast<double>(F.totalCalls());
-      SelfPerCall = format("%.2f", F.SelfTime * 1000.0 / N);
-      TotalPerCall = format("%.2f", F.totalTime() * 1000.0 / N);
+      Out += ' ';
+      appendUInt(Out, F.totalCalls(), 8);
+      Out += ' ';
+      appendFixed(Out, F.SelfTime * 1000.0 / N, 2, 8);
+      Out += ' ';
+      appendFixed(Out, F.totalTime() * 1000.0 / N, 2, 8);
+    } else {
+      Out.append(3 * 9, ' ');
     }
-
-    Out += format("%5s %10.2f %9.2f %8s %8s %8s  %s\n",
-                  formatPercent(F.SelfTime, Report.TotalTime).c_str(),
-                  Cumulative, F.SelfTime, Calls.c_str(),
-                  SelfPerCall.c_str(), TotalPerCall.c_str(),
-                  F.Name.c_str());
+    Out += "  ";
+    Out += F.Name.c_str();
+    Out += '\n';
   }
 
-  if (Report.UnattributedTime > 0.0)
-    Out += format("\n%.2f seconds sampled outside every known routine\n",
-                  Report.UnattributedTime);
-  if (Report.ExcludedTime > 0.0)
-    Out += format("\n%.2f seconds excluded from the analysis (-E)\n",
-                  Report.ExcludedTime);
+  if (Report.UnattributedTime > 0.0) {
+    Out += '\n';
+    appendFixed(Out, Report.UnattributedTime, 2);
+    Out += " seconds sampled outside every known routine\n";
+  }
+  if (Report.ExcludedTime > 0.0) {
+    Out += '\n';
+    appendFixed(Out, Report.ExcludedTime, 2);
+    Out += " seconds excluded from the analysis (-E)\n";
+  }
 
   if (!Report.UnusedFunctions.empty() && !Opts.ShowZeroUsage) {
     Out += "\nroutines never called in this execution:\n";
-    for (uint32_t I : Report.UnusedFunctions)
-      Out += format("    %s\n", Report.Functions[I].Name.c_str());
+    for (uint32_t I : Report.UnusedFunctions) {
+      Out += "    ";
+      Out += Report.Functions[I].Name.c_str();
+      Out += '\n';
+    }
   }
   return Out;
 }

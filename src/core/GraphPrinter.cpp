@@ -9,7 +9,7 @@
 #include "support/Format.h"
 
 #include <algorithm>
-#include <set>
+#include <span>
 
 using namespace gprof;
 
@@ -18,190 +18,279 @@ namespace {
 constexpr const char *Separator =
     "-----------------------------------------------\n";
 
-/// "name <cycle N> [idx]" reference for a routine.
-std::string nameRef(const ProfileReport &Report, uint32_t Fn) {
-  const FunctionEntry &F = Report.Functions[Fn];
-  std::string S = F.Name;
-  if (F.CycleNumber != 0)
-    S += format(" <cycle%u>", F.CycleNumber);
-  S += format(" [%u]", F.ListingIndex);
-  return S;
-}
-
-/// The "called" field of a parent/child row: count and the callee's total.
-std::string calledFraction(uint64_t Count, uint64_t Total) {
-  return format("%llu/%llu", static_cast<unsigned long long>(Count),
-                static_cast<unsigned long long>(Total));
-}
-
-/// One non-primary row.
-std::string arcRow(const std::string &SelfCol, const std::string &DescCol,
-                   const std::string &CalledCol, const std::string &Name) {
-  return format("%6s %8s %11s %13s     %s\n", "", SelfCol.c_str(),
-                DescCol.c_str(), CalledCol.c_str(), Name.c_str());
-}
-
-/// The primary row of an entry.
-std::string primaryRow(uint32_t ListingIndex, double Percent, double Self,
-                       double Desc, const std::string &CalledCol,
-                       const std::string &Name) {
-  return format("%-6s %8s %11s %13s %s [%u]\n",
-                format("[%u]", ListingIndex).c_str(),
-                format("%5.1f %8.2f", Percent, Self).c_str(),
-                format("%.2f", Desc).c_str(), CalledCol.c_str(),
-                Name.c_str(), ListingIndex);
-}
-
-/// Denominator for an arc into \p Child: the whole cycle's external calls
-/// when the child is in a cycle, else the child's own calls.
-uint64_t calleeTotalCalls(const ProfileReport &Report, uint32_t Child) {
-  const FunctionEntry &F = Report.Functions[Child];
-  if (F.CycleNumber != 0)
-    return Report.Cycles[F.CycleNumber - 1].ExternalCalls;
-  return F.Calls;
-}
-
-void printFunctionEntry(const ProfileReport &Report, uint32_t Fn,
-                        std::string &Out) {
-  const FunctionEntry &F = Report.Functions[Fn];
-
-  // Parents block, least significant first so the heaviest parent sits
-  // next to the primary line.
-  std::vector<const ReportArc *> Parents = Report.arcsInto(Fn);
-  std::erase_if(Parents, [](const ReportArc *A) { return A->SelfArc; });
-  std::sort(Parents.begin(), Parents.end(),
-            [](const ReportArc *A, const ReportArc *B) {
-              double TA = A->PropSelf + A->PropChild;
-              double TB = B->PropSelf + B->PropChild;
-              if (TA != TB)
-                return TA < TB;
-              return A->Count < B->Count;
-            });
-
-  if (F.SpontaneousCalls != 0)
-    Out += arcRow("", "",
-                  calledFraction(F.SpontaneousCalls,
-                                 calleeTotalCalls(Report, Fn)),
-                  "<spontaneous>");
-  else if (Parents.empty() && F.Calls == 0)
-    Out += arcRow("", "", "", "<never called>");
-
-  for (const ReportArc *A : Parents) {
-    if (A->WithinCycle) {
-      // Calls among cycle members are listed but carry no time (§5.2).
-      Out += arcRow("", "",
-                    format("%llu", static_cast<unsigned long long>(A->Count)),
-                    nameRef(Report, A->Parent));
-      continue;
-    }
-    Out += arcRow(format("%.2f", A->PropSelf),
-                  format("%.2f", A->PropChild),
-                  calledFraction(A->Count, calleeTotalCalls(Report, Fn)),
-                  nameRef(Report, A->Parent));
+/// One side of the arc index built once per listing: the arcs whose \p End
+/// is routine F are Arcs[Start[F], Start[F + 1]), as indices into
+/// ProfileReport::Arcs in ascending order.  Entries read their own rows
+/// from here instead of scanning every arc, so a listing is linear in arcs.
+struct ArcGroups {
+  ArcGroups(const ProfileReport &R, uint32_t ReportArc::*End) {
+    // A counting sort by routine; it keeps the arc order within a group.
+    const size_t N = R.Functions.size();
+    Start.assign(N + 1, 0);
+    for (const ReportArc &A : R.Arcs)
+      ++Start[A.*End + 1];
+    for (size_t F = 0; F != N; ++F)
+      Start[F + 1] += Start[F];
+    Arcs.resize(Start[N]);
+    std::vector<uint32_t> Next(Start.begin(), Start.end() - 1);
+    for (uint32_t I = 0; I != R.Arcs.size(); ++I)
+      Arcs[Next[R.Arcs[I].*End]++] = I;
   }
+
+  std::span<const uint32_t> of(uint32_t Fn) const {
+    return {Arcs.data() + Start[Fn], Arcs.data() + Start[Fn + 1]};
+  }
+
+  std::vector<uint32_t> Start, Arcs;
+};
+
+/// Appends "name <cycleN>" for \p F.  Names print as C strings, up to the
+/// first NUL, which an image's length-prefixed string table can hold;
+/// returns false when the name was cut there, and the rest of its field
+/// is dropped with it.
+bool appendName(std::string &Out, const FunctionEntry &F) {
+  size_t Start = Out.size();
+  Out += F.Name.c_str();
+  if (Out.size() - Start != F.Name.size())
+    return false;
+  if (F.CycleNumber != 0) {
+    Out += " <cycle";
+    appendUInt(Out, F.CycleNumber);
+    Out += '>';
+  }
+  return true;
+}
+
+/// Appends the 13-column "called" field: \p Count, or Count, \p Sep and
+/// \p Other when \p Sep is given ("3/10", "4+2").
+void appendCalled(std::string &Out, uint64_t Count, char Sep = 0,
+                  uint64_t Other = 0) {
+  size_t Col = Out.size();
+  appendUInt(Out, Count);
+  if (Sep) {
+    Out += Sep;
+    appendUInt(Out, Other);
+  }
+  alignRight(Out, Col, 13);
+}
+
+/// Writes the entries of one listing into \p Out, field by field.  A
+/// parent or child row is laid out as printf's
+/// "%6s %8.2f %11.2f %13s     %s\n" with the first column blank, and a
+/// primary row as "%-6s %5.1f %8.2f %11.2f %13s %s [%u]\n".
+class GraphWriter {
+public:
+  GraphWriter(const ProfileReport &R, std::string &Out)
+      : R(R), Into(R, &ReportArc::Child), OutOf(R, &ReportArc::Parent),
+        Out(Out) {}
+
+  void functionEntry(uint32_t Fn);
+  void cycleEntry(uint32_t CycleIdx);
+
+private:
+  /// Sorts Rows by propagated time, then count.  Rows must arrive in
+  /// ascending arc order: std::sort is not stable, so where rows tie the
+  /// printed order depends on the input order.  Parents print lightest
+  /// first, so the heaviest sits next to the primary line; children
+  /// heaviest first.
+  void sortRows(bool HeaviestFirst);
+
+  /// Starts a parent or child row with blank self and descendants columns.
+  void blankTimes() { Out.append(6 + 1 + 8 + 1 + 11 + 1, ' '); }
+  /// Starts a parent or child row with its self and descendants columns.
+  void times(double Self, double Desc);
+  /// The parent or child row of arc \p A, naming routine \p Fn.
+  void arcRow(const ReportArc &A, uint32_t Fn);
+  /// Ends a parent or child row with "name <cycleN> [idx]" for \p Fn.
+  void rowRef(uint32_t Fn);
+  /// Ends a parent or child row with a placeholder name.
+  void rowName(const char *Name);
+  /// The primary row up to and including the space after "called".
+  void primaryBegin(uint32_t ListingIndex, double Self, double Desc,
+                    uint64_t Calls, uint64_t PlusCalls);
+  void primaryEnd(uint32_t ListingIndex);
+
+  /// Denominator for an arc into \p Child: the whole cycle's external calls
+  /// when the child is in a cycle, else the child's own calls.
+  uint64_t calleeTotalCalls(uint32_t Child) const {
+    const FunctionEntry &F = R.Functions[Child];
+    if (F.CycleNumber != 0)
+      return R.Cycles[F.CycleNumber - 1].ExternalCalls;
+    return F.Calls;
+  }
+
+  const ProfileReport &R;
+  /// Each routine's parent rows and child rows.
+  const ArcGroups Into, OutOf;
+  std::string &Out;
+  /// One block's arc indices, reused across entries.
+  std::vector<uint32_t> Rows;
+};
+
+void GraphWriter::sortRows(bool HeaviestFirst) {
+  auto Lighter = [&](uint32_t I, uint32_t J) {
+    const ReportArc &A = R.Arcs[I], &B = R.Arcs[J];
+    double TA = A.PropSelf + A.PropChild;
+    double TB = B.PropSelf + B.PropChild;
+    if (TA != TB)
+      return TA < TB;
+    return A.Count < B.Count;
+  };
+  if (HeaviestFirst)
+    std::sort(Rows.begin(), Rows.end(),
+              [&](uint32_t I, uint32_t J) { return Lighter(J, I); });
+  else
+    std::sort(Rows.begin(), Rows.end(), Lighter);
+}
+
+void GraphWriter::times(double Self, double Desc) {
+  Out.append(7, ' ');
+  appendFixed(Out, Self, 2, 8);
+  Out += ' ';
+  appendFixed(Out, Desc, 2, 11);
+  Out += ' ';
+}
+
+void GraphWriter::arcRow(const ReportArc &A, uint32_t Fn) {
+  if (A.WithinCycle) {
+    // Calls among cycle members are listed but carry no time (§5.2).
+    blankTimes();
+    appendCalled(Out, A.Count);
+  } else {
+    times(A.PropSelf, A.PropChild);
+    appendCalled(Out, A.Count, '/', calleeTotalCalls(A.Child));
+  }
+  rowRef(Fn);
+}
+
+void GraphWriter::rowRef(uint32_t Fn) {
+  const FunctionEntry &F = R.Functions[Fn];
+  Out += "     ";
+  if (appendName(Out, F)) {
+    Out += " [";
+    appendUInt(Out, F.ListingIndex);
+    Out += ']';
+  }
+  Out += '\n';
+}
+
+void GraphWriter::rowName(const char *Name) {
+  Out += "     ";
+  Out += Name;
+  Out += '\n';
+}
+
+void GraphWriter::primaryBegin(uint32_t ListingIndex, double Self,
+                               double Desc, uint64_t Calls,
+                               uint64_t PlusCalls) {
+  size_t Col = Out.size();
+  Out += '[';
+  appendUInt(Out, ListingIndex);
+  Out += ']';
+  alignLeft(Out, Col, 6);
+  Out += ' ';
+  // "%8s" of "%5.1f %8.2f": never shorter than 8, so never padded.
+  appendFixed(Out,
+              R.TotalTime > 0.0 ? 100.0 * (Self + Desc) / R.TotalTime : 0.0,
+              1, 5);
+  Out += ' ';
+  appendFixed(Out, Self, 2, 8);
+  Out += ' ';
+  appendFixed(Out, Desc, 2, 11);
+  Out += ' ';
+  appendCalled(Out, Calls, PlusCalls != 0 ? '+' : 0, PlusCalls);
+  Out += ' ';
+}
+
+void GraphWriter::primaryEnd(uint32_t ListingIndex) {
+  Out += " [";
+  appendUInt(Out, ListingIndex);
+  Out += "]\n";
+}
+
+void GraphWriter::functionEntry(uint32_t Fn) {
+  const FunctionEntry &F = R.Functions[Fn];
+
+  Rows.clear();
+  for (uint32_t I : Into.of(Fn))
+    if (!R.Arcs[I].SelfArc)
+      Rows.push_back(I);
+  sortRows(/*HeaviestFirst=*/false);
+
+  if (F.SpontaneousCalls != 0) {
+    blankTimes();
+    appendCalled(Out, F.SpontaneousCalls, '/', calleeTotalCalls(Fn));
+    rowName("<spontaneous>");
+  } else if (Rows.empty() && F.Calls == 0) {
+    blankTimes();
+    Out.append(13, ' ');
+    rowName("<never called>");
+  }
+  for (uint32_t I : Rows)
+    arcRow(R.Arcs[I], R.Arcs[I].Parent);
 
   // Primary line.  Self-recursive calls appear as "+n" and "do not affect
   // the propagation of time".
-  std::string Called =
-      format("%llu", static_cast<unsigned long long>(F.Calls));
-  if (F.SelfCalls != 0)
-    Called += format("+%llu", static_cast<unsigned long long>(F.SelfCalls));
-  std::string Name = F.Name;
-  if (F.CycleNumber != 0)
-    Name += format(" <cycle%u>", F.CycleNumber);
-  Out += primaryRow(F.ListingIndex,
-                    Report.TotalTime > 0.0
-                        ? 100.0 * F.totalTime() / Report.TotalTime
-                        : 0.0,
-                    F.SelfTime, F.ChildTime, Called, Name);
+  primaryBegin(F.ListingIndex, F.SelfTime, F.ChildTime, F.Calls,
+               F.SelfCalls);
+  appendName(Out, F);
+  primaryEnd(F.ListingIndex);
 
-  // Children block, most significant first.
-  std::vector<const ReportArc *> Children = Report.arcsOutOf(Fn);
-  std::erase_if(Children, [](const ReportArc *A) { return A->SelfArc; });
-  std::sort(Children.begin(), Children.end(),
-            [](const ReportArc *A, const ReportArc *B) {
-              double TA = A->PropSelf + A->PropChild;
-              double TB = B->PropSelf + B->PropChild;
-              if (TA != TB)
-                return TA > TB;
-              return A->Count > B->Count;
-            });
-  for (const ReportArc *A : Children) {
-    if (A->WithinCycle) {
-      Out += arcRow("", "",
-                    format("%llu", static_cast<unsigned long long>(A->Count)),
-                    nameRef(Report, A->Child));
-      continue;
-    }
-    Out += arcRow(format("%.2f", A->PropSelf),
-                  format("%.2f", A->PropChild),
-                  calledFraction(A->Count, calleeTotalCalls(Report, A->Child)),
-                  nameRef(Report, A->Child));
-  }
+  Rows.clear();
+  for (uint32_t I : OutOf.of(Fn))
+    if (!R.Arcs[I].SelfArc)
+      Rows.push_back(I);
+  sortRows(/*HeaviestFirst=*/true);
+  for (uint32_t I : Rows)
+    arcRow(R.Arcs[I], R.Arcs[I].Child);
   Out += Separator;
 }
 
-void printCycleEntry(const ProfileReport &Report, uint32_t CycleIdx,
-                     std::string &Out) {
-  const CycleEntry &C = Report.Cycles[CycleIdx];
-  std::set<uint32_t> MemberSet(C.Members.begin(), C.Members.end());
+void GraphWriter::cycleEntry(uint32_t CycleIdx) {
+  const CycleEntry &C = R.Cycles[CycleIdx];
 
-  // Parents: arcs into any member from outside the cycle.
-  std::vector<const ReportArc *> Parents;
+  // Parents: arcs into any member from outside the cycle (an arc into a
+  // member is within the cycle exactly when its caller is a member too),
+  // gathered from the members' parent ranges and put back in ascending
+  // arc order.
+  Rows.clear();
   uint64_t SpontaneousIntoCycle = 0;
-  for (uint32_t M : C.Members)
-    SpontaneousIntoCycle += Report.Functions[M].SpontaneousCalls;
-  for (const ReportArc &A : Report.Arcs) {
-    if (A.SelfArc || A.WithinCycle)
-      continue;
-    if (MemberSet.count(A.Child) && !MemberSet.count(A.Parent))
-      Parents.push_back(&A);
+  for (uint32_t M : C.Members) {
+    SpontaneousIntoCycle += R.Functions[M].SpontaneousCalls;
+    for (uint32_t I : Into.of(M))
+      if (!R.Arcs[I].SelfArc && !R.Arcs[I].WithinCycle)
+        Rows.push_back(I);
   }
-  std::sort(Parents.begin(), Parents.end(),
-            [](const ReportArc *A, const ReportArc *B) {
-              double TA = A->PropSelf + A->PropChild;
-              double TB = B->PropSelf + B->PropChild;
-              if (TA != TB)
-                return TA < TB;
-              return A->Count < B->Count;
-            });
+  std::sort(Rows.begin(), Rows.end());
+  sortRows(/*HeaviestFirst=*/false);
 
-  if (SpontaneousIntoCycle != 0)
-    Out += arcRow("", "",
-                  calledFraction(SpontaneousIntoCycle, C.ExternalCalls),
-                  "<spontaneous>");
-  for (const ReportArc *A : Parents)
-    Out += arcRow(format("%.2f", A->PropSelf),
-                  format("%.2f", A->PropChild),
-                  calledFraction(A->Count, C.ExternalCalls),
-                  nameRef(Report, A->Parent));
+  if (SpontaneousIntoCycle != 0) {
+    blankTimes();
+    appendCalled(Out, SpontaneousIntoCycle, '/', C.ExternalCalls);
+    rowName("<spontaneous>");
+  }
+  for (uint32_t I : Rows)
+    arcRow(R.Arcs[I], R.Arcs[I].Parent);
 
   // Primary line for the cycle as a whole.  Internal calls appear as "+n".
-  std::string Called =
-      format("%llu", static_cast<unsigned long long>(C.ExternalCalls));
-  if (C.InternalCalls != 0)
-    Called +=
-        format("+%llu", static_cast<unsigned long long>(C.InternalCalls));
-  Out += primaryRow(C.ListingIndex,
-                    Report.TotalTime > 0.0
-                        ? 100.0 * C.totalTime() / Report.TotalTime
-                        : 0.0,
-                    C.SelfTime, C.ChildTime, Called,
-                    format("<cycle %u as a whole>", C.Number));
+  primaryBegin(C.ListingIndex, C.SelfTime, C.ChildTime, C.ExternalCalls,
+               C.InternalCalls);
+  Out += "<cycle ";
+  appendUInt(Out, C.Number);
+  Out += " as a whole>";
+  primaryEnd(C.ListingIndex);
 
   // "members of the cycle are listed in place of the children", each with
   // the number of calls it received from within the cycle.
   for (uint32_t M : C.Members) {
     uint64_t CallsFromCycle = 0;
-    for (const ReportArc &A : Report.Arcs)
-      if (A.WithinCycle && A.Child == M)
-        CallsFromCycle += A.Count;
-    const FunctionEntry &FM = Report.Functions[M];
-    Out += arcRow(format("%.2f", FM.SelfTime),
-                  format("%.2f", FM.ChildTime),
-                  format("%llu",
-                         static_cast<unsigned long long>(CallsFromCycle)),
-                  nameRef(Report, M));
+    for (uint32_t I : Into.of(M))
+      if (R.Arcs[I].WithinCycle)
+        CallsFromCycle += R.Arcs[I].Count;
+    const FunctionEntry &FM = R.Functions[M];
+    times(FM.SelfTime, FM.ChildTime);
+    appendCalled(Out, CallsFromCycle);
+    rowRef(M);
   }
   Out += Separator;
 }
@@ -241,6 +330,7 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
            "counts are lower bounds\n\n";
   Out += listingHeader(Opts.Brief);
 
+  GraphWriter W(Report, Out);
   for (const ListingEntry &E : Report.GraphOrder) {
     if (E.IsCycle) {
       const CycleEntry &C = Report.Cycles[E.Index];
@@ -252,7 +342,7 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
         if (!AnyMember)
           continue;
       }
-      printCycleEntry(Report, E.Index, Out);
+      W.cycleEntry(E.Index);
       continue;
     }
     const std::string &Name = Report.Functions[E.Index].Name;
@@ -261,7 +351,7 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
       continue;
     if (matchesAny(Name, Opts.ExcludeFunctions))
       continue;
-    printFunctionEntry(Report, E.Index, Out);
+    W.functionEntry(E.Index);
   }
 
   if (Opts.PrintIndex) {
@@ -275,9 +365,13 @@ std::string gprof::printCallGraph(const ProfileReport &Report,
               [&](uint32_t A, uint32_t B) {
                 return Report.Functions[A].Name < Report.Functions[B].Name;
               });
-    for (uint32_t I : ByName)
-      Out += format("  [%u] %s\n", Report.Functions[I].ListingIndex,
-                    Report.Functions[I].Name.c_str());
+    for (uint32_t I : ByName) {
+      Out += "  [";
+      appendUInt(Out, Report.Functions[I].ListingIndex);
+      Out += "] ";
+      Out += Report.Functions[I].Name.c_str();
+      Out += '\n';
+    }
   }
   return Out;
 }
@@ -288,6 +382,6 @@ std::string gprof::printCallGraphEntry(const ProfileReport &Report,
   if (Fn == ~0u)
     return std::string();
   std::string Out = listingHeader(/*Brief=*/true);
-  printFunctionEntry(Report, Fn, Out);
+  GraphWriter(Report, Out).functionEntry(Fn);
   return Out;
 }

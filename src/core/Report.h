@@ -151,11 +151,6 @@ struct ProfileReport {
         return I;
     return ~0u;
   }
-
-  /// All arcs with Child == \p Fn (the parents block of Fn's entry).
-  std::vector<const ReportArc *> arcsInto(uint32_t Fn) const;
-  /// All arcs with Parent == \p Fn (the children block of Fn's entry).
-  std::vector<const ReportArc *> arcsOutOf(uint32_t Fn) const;
 };
 
 } // namespace gprof

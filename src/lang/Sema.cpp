@@ -11,6 +11,7 @@
 #include <cassert>
 #include <map>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 using namespace gprof;
@@ -76,39 +77,48 @@ private:
   void analyzeStmt(Stmt &S, FunctionScope &Scope);
   void analyzeExpr(Expr &E, FunctionScope &Scope);
 
+  using NameIndex = std::unordered_map<std::string, uint32_t>;
+
+  /// The index \p Names maps \p Name to, or ~0u.
+  static uint32_t indexOf(const NameIndex &Names, const std::string &Name) {
+    auto It = Names.find(Name);
+    return It == Names.end() ? ~0u : It->second;
+  }
+  uint32_t findFunction(const std::string &Name) const {
+    return indexOf(Functions, Name);
+  }
   uint32_t findGlobal(const std::string &Name) const {
-    for (uint32_t I = 0; I != P.Globals.size(); ++I)
-      if (P.Globals[I].Name == Name)
-        return I;
-    return ~0u;
+    return indexOf(Globals, Name);
   }
 
   Program &P;
   DiagnosticEngine &Diags;
+  /// Each function and global name to its first declaration, built once
+  /// in run(), so resolving a name does not scan every declaration.
+  NameIndex Functions, Globals;
 };
 
 bool SemaVisitor::run() {
-  // Duplicate-declaration checks across the whole unit.
-  std::map<std::string, SourceLocation> SeenFunctions;
-  for (const FunctionDecl &F : P.Functions) {
-    auto [It, Inserted] = SeenFunctions.emplace(F.Name, F.Loc);
-    if (!Inserted)
+  // Duplicate-declaration checks across the whole unit; a redefinition
+  // is an error and the first declaration keeps the name.
+  for (uint32_t I = 0; I != P.Functions.size(); ++I) {
+    const FunctionDecl &F = P.Functions[I];
+    if (!Functions.emplace(F.Name, I).second)
       Diags.error(F.Loc,
                   format("redefinition of function '%s'", F.Name.c_str()));
   }
-  std::map<std::string, SourceLocation> SeenGlobals;
-  for (const GlobalVarDecl &G : P.Globals) {
-    auto [It, Inserted] = SeenGlobals.emplace(G.Name, G.Loc);
-    if (!Inserted)
+  for (uint32_t I = 0; I != P.Globals.size(); ++I) {
+    const GlobalVarDecl &G = P.Globals[I];
+    if (!Globals.emplace(G.Name, I).second)
       Diags.error(G.Loc, format("redefinition of global variable '%s'",
                                 G.Name.c_str()));
-    if (SeenFunctions.count(G.Name))
+    if (Functions.count(G.Name))
       Diags.error(G.Loc,
                   format("global variable '%s' collides with a function",
                          G.Name.c_str()));
   }
 
-  uint32_t MainIdx = P.findFunction("main");
+  uint32_t MainIdx = findFunction("main");
   if (MainIdx == ~0u)
     Diags.error(SourceLocation(), "program has no 'main' function");
   else if (!P.Functions[MainIdx].Params.empty())
@@ -205,7 +215,7 @@ void SemaVisitor::analyzeExpr(Expr &E, FunctionScope &Scope) {
       Ref.Slot = Idx;
       return;
     }
-    if (uint32_t Idx = P.findFunction(Ref.Name); Idx != ~0u) {
+    if (uint32_t Idx = findFunction(Ref.Name); Idx != ~0u) {
       Ref.Binding = NameBinding::Function;
       Ref.Slot = Idx;
       return;
@@ -223,7 +233,7 @@ void SemaVisitor::analyzeExpr(Expr &E, FunctionScope &Scope) {
   }
   case ExprKind::FuncAddr: {
     auto &Addr = static_cast<FuncAddrExpr &>(E);
-    uint32_t Idx = P.findFunction(Addr.Name);
+    uint32_t Idx = findFunction(Addr.Name);
     if (Idx == ~0u) {
       Diags.error(E.loc(),
                   format("'&%s' does not name a function",
@@ -256,7 +266,7 @@ void SemaVisitor::analyzeExpr(Expr &E, FunctionScope &Scope) {
       Assign.Slot = Idx;
       return;
     }
-    if (P.findFunction(Assign.Name) != ~0u) {
+    if (findFunction(Assign.Name) != ~0u) {
       Diags.error(E.loc(), format("cannot assign to function '%s'",
                                   Assign.Name.c_str()));
       return;
@@ -273,7 +283,7 @@ void SemaVisitor::analyzeExpr(Expr &E, FunctionScope &Scope) {
       auto &Ref = static_cast<NameRefExpr &>(*Call.Callee);
       bool Shadowed = Scope.lookup(Ref.Name) != ~0u ||
                       findGlobal(Ref.Name) != ~0u ||
-                      P.findFunction(Ref.Name) != ~0u;
+                      findFunction(Ref.Name) != ~0u;
       if (!Shadowed && (Ref.Name == "peek" || Ref.Name == "poke")) {
         Call.Builtin = Ref.Name == "peek" ? BuiltinKind::Peek
                                           : BuiltinKind::Poke;

@@ -6,7 +6,9 @@
 
 #include "support/Format.h"
 
+#include <cassert>
 #include <cctype>
+#include <charconv>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -43,6 +45,42 @@ std::string gprof::padRight(std::string_view S, unsigned Width) {
   if (S.size() >= Width)
     return std::string(S);
   return std::string(S) + std::string(Width - S.size(), ' ');
+}
+
+void gprof::appendUInt(std::string &Out, uint64_t Value, unsigned Width) {
+  char Buf[24];
+  auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), Value);
+  assert(Ec == std::errc() && "a u64 has at most 20 digits");
+  size_t Len = static_cast<size_t>(End - Buf);
+  if (Len < Width)
+    Out.append(Width - Len, ' ');
+  Out.append(Buf, Len);
+}
+
+void gprof::appendFixed(std::string &Out, double Value, int Decimals,
+                        unsigned Width) {
+  // DBL_MAX has 309 integer digits; with a sign, the point and up to 16
+  // decimals it still fits.
+  char Buf[336];
+  auto [End, Ec] = std::to_chars(Buf, Buf + sizeof(Buf), Value,
+                                 std::chars_format::fixed, Decimals);
+  assert(Ec == std::errc() && Decimals <= 16 && "fixed buffer too small");
+  size_t Len = static_cast<size_t>(End - Buf);
+  if (Len < Width)
+    Out.append(Width - Len, ' ');
+  Out.append(Buf, Len);
+}
+
+void gprof::alignRight(std::string &Out, size_t Start, unsigned Width) {
+  size_t Len = Out.size() - Start;
+  if (Len < Width)
+    Out.insert(Start, Width - Len, ' ');
+}
+
+void gprof::alignLeft(std::string &Out, size_t Start, unsigned Width) {
+  size_t Len = Out.size() - Start;
+  if (Len < Width)
+    Out.append(Width - Len, ' ');
 }
 
 std::string gprof::formatFixed(double Value, unsigned Decimals) {

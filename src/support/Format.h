@@ -8,6 +8,8 @@
 /// printf-style formatting into std::string plus the small set of numeric
 /// and alignment helpers the profile listings need.  The gprof output format
 /// is fixed-width character tables (paper §5), so precise padding matters.
+/// The listing printers write every row with the append helpers, which
+/// produce printf's bytes without its per-call cost.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -15,6 +17,8 @@
 #define GPROF_SUPPORT_FORMAT_H
 
 #include <cstdarg>
+#include <cstddef>
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -33,6 +37,26 @@ std::string padLeft(std::string_view S, unsigned Width);
 
 /// Left-aligns \p S in a field of \p Width characters (never truncates).
 std::string padRight(std::string_view S, unsigned Width);
+
+/// Appends \p Value in decimal, right-aligned in a field of \p Width
+/// characters: printf's "%*llu", written with std::to_chars, so no format
+/// string is parsed and no temporary string is built.
+void appendUInt(std::string &Out, uint64_t Value, unsigned Width = 0);
+
+/// Appends \p Value with \p Decimals digits after the point, right-aligned
+/// in a field of \p Width characters: printf's "%*.*f".  std::to_chars and
+/// glibc's printf both round the exact binary value to nearest, ties to
+/// even, and spell infinities and NaNs the same way, so the text matches.
+void appendFixed(std::string &Out, double Value, int Decimals,
+                 unsigned Width = 0);
+
+/// Pads the text appended to \p Out since offset \p Start on the left to
+/// \p Width characters, as printf's "%*s" does: it never truncates.
+void alignRight(std::string &Out, size_t Start, unsigned Width);
+
+/// Pads the text appended to \p Out since offset \p Start on the right to
+/// \p Width characters, as printf's "%-*s" does.
+void alignLeft(std::string &Out, size_t Start, unsigned Width);
 
 /// Formats \p Value with \p Decimals digits after the point.
 std::string formatFixed(double Value, unsigned Decimals);
