@@ -12,16 +12,21 @@
 /// count for each possible program counter value!"
 ///
 /// This bench sweeps the histogram bucket size on a fixed workload and
-/// reports, for each: memory used by the histogram, and the attribution
-/// error caused by buckets straddling routine boundaries (the samples the
-/// analyzer must prorate).  Bucket size 1 is the epiphany: exact
-/// attribution at maximal space.
+/// reports, for each: memory used by the histogram, the bytes of the
+/// profile file in the dense version 1 layout and in version 3 (which
+/// writes only the sampled buckets), and the attribution error caused by
+/// buckets straddling routine boundaries (the samples the analyzer must
+/// prorate).  Bucket size 1 is the epiphany: exact attribution at maximal
+/// space in memory, while on disk version 3 pays only for the pcs that
+/// were sampled.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "bench/BenchUtil.h"
 #include "core/Analyzer.h"
+#include "gmon/GmonFile.h"
 #include "runtime/Monitor.h"
+#include "tests/reference_gmon.h"
 #include "vm/CodeGen.h"
 #include "vm/VM.h"
 
@@ -60,9 +65,15 @@ std::string makeWorkloadSource() {
   return Src;
 }
 
+/// Memory and on-disk sizes of one profile.
+struct Sizes {
+  size_t HistBytes = 0; ///< The dense in-memory histogram.
+  size_t V1Bytes = 0;   ///< The file in the dense version 1 layout.
+  size_t V3Bytes = 0;   ///< The file as writeGmon writes it.
+};
+
 std::map<std::string, double> selfTimesAt(const Image &Img,
-                                          uint64_t BucketSize,
-                                          size_t &HistBytes) {
+                                          uint64_t BucketSize, Sizes &Size) {
   MonitorOptions MO;
   MO.HistBucketSize = BucketSize;
   Monitor Mon(Img.lowPc(), Img.highPc(), MO);
@@ -72,7 +83,9 @@ std::map<std::string, double> selfTimesAt(const Image &Img,
   Machine.setHooks(&Mon);
   cantFail(Machine.run());
   ProfileData Data = Mon.finish();
-  HistBytes = Data.Hist.numBuckets() * sizeof(uint64_t);
+  Size.HistBytes = Data.Hist.numBuckets() * sizeof(uint64_t);
+  Size.V1Bytes = writeGmonDense(Data).size();
+  Size.V3Bytes = writeGmon(Data).size();
   ProfileReport R = cantFail(analyzeImageProfile(Img, Data));
   std::map<std::string, double> Times;
   for (const FunctionEntry &F : R.Functions)
@@ -92,18 +105,23 @@ int main() {
   std::printf("\ntext segment: %zu bytes, %zu routines\n\n",
               Img.Code.size(), Img.Functions.size());
 
-  size_t ExactBytes = 0;
-  auto Exact = selfTimesAt(Img, 1, ExactBytes);
+  Sizes ExactSizes;
+  auto Exact = selfTimesAt(Img, 1, ExactSizes);
   double Total = 0;
   for (const auto &[Name, T] : Exact)
     Total += T;
 
-  row({"bucket size", "hist KiB", "max error", "mean error"}, 13);
+  row({"bucket size", "hist KiB", "v1 file B", "v3 file B", "max error",
+       "mean error"},
+      13);
   std::map<uint64_t, double> MaxErr;
   size_t BytesAt1 = 0, BytesAt64 = 0;
+  bool SparseSmaller = true;
   for (uint64_t Bucket : {1ULL, 4ULL, 16ULL, 64ULL, 256ULL}) {
-    size_t Bytes = 0;
-    auto Times = selfTimesAt(Img, Bucket, Bytes);
+    Sizes Size;
+    auto Times = selfTimesAt(Img, Bucket, Size);
+    const size_t Bytes = Size.HistBytes;
+    SparseSmaller &= Size.V3Bytes < Size.V1Bytes;
     double Max = 0, Sum = 0;
     for (const auto &[Name, T] : Exact) {
       double Err = std::fabs(Times[Name] - T) / (Total > 0 ? Total : 1);
@@ -117,6 +135,7 @@ int main() {
       BytesAt64 = Bytes;
     row({format("%llu", (unsigned long long)Bucket),
          format("%.1f", static_cast<double>(Bytes) / 1024.0),
+         format("%zu", Size.V1Bytes), format("%zu", Size.V3Bytes),
          formatPercent(Max, 1.0) + "%",
          formatPercent(Sum / Exact.size(), 1.0) + "%"},
         13);
@@ -131,6 +150,9 @@ int main() {
               "coarser histograms smear time across routine boundaries");
   Ok &= check(BytesAt64 * 32 <= BytesAt1,
               "coarser histograms cost proportionally less space");
+  Ok &= check(SparseSmaller,
+              "the version 3 file is smaller than the dense version 1 file "
+              "at every bucket size");
   Ok &= check(MaxErr[4] < 0.02,
               "modest coarsening keeps attribution within 2% — the "
               "practical \"finer or coarser\" dial");

@@ -19,12 +19,14 @@ using namespace gprof;
 namespace {
 
 constexpr char Magic[4] = {'G', 'M', 'O', 'N'};
-constexpr uint32_t Version = 1;
-/// Version 2 appends tagged extension sections after the arc table; it is
-/// written only when there is a context tree to carry, so profiles without
-/// one stay byte-identical to version 1 (content addresses and goldens
-/// unchanged).
+/// Versions 1 and 2 store every histogram bucket as a u64; version 2 adds
+/// the extension sections after the arc table.  Both are still read.
+constexpr uint32_t VersionDense = 1;
 constexpr uint32_t VersionContexts = 2;
+/// Version 3, the only one written: the histogram is a list of (gap,
+/// count) varint pairs over its nonzero buckets, and the extension
+/// section list is always present.
+constexpr uint32_t VersionSparse = 3;
 
 /// Extension-section tag of the calling-context tree ("CCTR" as a
 /// little-endian u32).  Readers skip sections with tags they do not know.
@@ -34,9 +36,21 @@ constexpr uint32_t SectionTagContexts = 0x52544343;
 /// parent u32 + frompc u64 + selfpc u64 + calls u64 + ticks u64.
 constexpr uint64_t CctNodeBytes = 36;
 
-/// Cap on nbuckets/narcs accepted from a file, guarding allocation against
-/// corrupted length fields (a 1 GiB histogram is already implausible).
+/// Cap on narcs and context nodes accepted from a file, guarding
+/// allocation against corrupted length fields.
 constexpr uint64_t MaxRecords = (1ULL << 30) / 8;
+
+/// Cap on nbuckets, in every version and mode.  The reader allocates the
+/// whole dense histogram before it decodes the counts, and a version-3
+/// file stores only the nonzero buckets, so a file of a few dozen bytes
+/// may declare any nbuckets: this cap, not the file's size, bounds what a
+/// read allocates for it, at 64 MiB (8M buckets, one per instruction of
+/// an 8M-instruction text at bucket size 1).
+constexpr uint64_t MaxBuckets = (64ULL << 20) / 8;
+
+/// Bytes one (gap, count) varint pair takes: one to ten per varint.
+constexpr uint64_t MinPairBytes = 2;
+constexpr uint64_t MaxPairBytes = 20;
 
 /// Cap on extension sections per file (one is defined today).
 constexpr uint32_t MaxSections = 64;
@@ -91,13 +105,43 @@ struct ByteCursor {
   }
 };
 
+/// What decoding one LEB128 varint found.
+enum class VarintStatus { Ok, Torn, Overlong, TooWide };
+
+/// Decodes one unsigned LEB128 varint: 7 bits per byte, low group first,
+/// bit 7 set on every byte but the last.  Only the canonical encoding is
+/// accepted: no trailing zero group (Overlong) and nothing past bit 63,
+/// so the tenth byte may only be 0 or 1 (TooWide).  The shift never
+/// exceeds 63.
+VarintStatus decodeVarint(ByteCursor &R, uint64_t &V) {
+  V = 0;
+  for (unsigned Shift = 0;; Shift += 7) {
+    if (R.atEnd())
+      return VarintStatus::Torn;
+    uint8_t B = R.u8();
+    if (Shift == 63 && B > 1)
+      return VarintStatus::TooWide;
+    V |= static_cast<uint64_t>(B & 0x7F) << Shift;
+    if ((B & 0x80) == 0)
+      return B == 0 && Shift != 0 ? VarintStatus::Overlong : VarintStatus::Ok;
+  }
+}
+
+void writeVarint(BinaryWriter &W, uint64_t V) {
+  while (V >= 0x80) {
+    W.writeU8(static_cast<uint8_t>(V) | 0x80);
+    V >>= 7;
+  }
+  W.writeU8(static_cast<uint8_t>(V));
+}
+
 } // namespace
 
 std::vector<uint8_t> gprof::writeGmon(const ProfileData &Data) {
   const bool HasContexts = !Data.Contexts.empty();
   BinaryWriter W;
   W.writeBytes(reinterpret_cast<const uint8_t *>(Magic), sizeof(Magic));
-  W.writeU32(HasContexts ? VersionContexts : Version);
+  W.writeU32(VersionSparse);
   W.writeU64(Data.TicksPerSecond);
   W.writeU32(Data.RunCount);
   uint8_t Flags = Data.ArcTableOverflowed ? 1 : 0;
@@ -110,8 +154,24 @@ std::vector<uint8_t> gprof::writeGmon(const ProfileData &Data) {
   W.writeU64(H.highPc());
   W.writeU64(H.bucketSize());
   W.writeU64(H.numBuckets());
-  for (size_t I = 0; I != H.numBuckets(); ++I)
-    W.writeU64(H.bucketCount(I));
+  // One (gap, count) pair per nonzero bucket in ascending order; the gap
+  // is the number of zero buckets skipped since the previous pair.  The
+  // pair count and the list's byte length go before the list.
+  BinaryWriter Pairs;
+  uint64_t NonZero = 0;
+  uint64_t Next = 0;
+  for (size_t I = 0; I != H.numBuckets(); ++I) {
+    uint64_t C = H.bucketCount(I);
+    if (C == 0)
+      continue;
+    writeVarint(Pairs, I - Next);
+    writeVarint(Pairs, C);
+    Next = I + 1;
+    ++NonZero;
+  }
+  W.writeU64(NonZero);
+  W.writeU64(Pairs.size());
+  W.writeBytes(Pairs.bytes().data(), Pairs.size());
 
   W.writeU64(Data.Arcs.size());
   for (const ArcRecord &R : Data.Arcs) {
@@ -120,8 +180,8 @@ std::vector<uint8_t> gprof::writeGmon(const ProfileData &Data) {
     W.writeU64(R.Count);
   }
 
+  W.writeU32(HasContexts ? 1 : 0); // extension section count
   if (HasContexts) {
-    W.writeU32(1); // extension section count
     W.writeU32(SectionTagContexts);
     W.writeU64(8 + Data.Contexts.size() * CctNodeBytes);
     W.writeU64(Data.Contexts.size());
@@ -181,9 +241,9 @@ Expected<ProfileData> gprof::readGmon(const uint8_t *Bytes, size_t Size,
   if (Error E = R.need(4))
     return E;
   uint32_t Ver = R.u32();
-  if (Ver != Version && Ver != VersionContexts)
-    return Error::failure(
-        format("unsupported gmon version %u (expected %u)", Ver, Version));
+  if (Ver < VersionDense || Ver > VersionSparse)
+    return Error::failure(format(
+        "unsupported gmon version %u (expected 1, 2 or 3)", Ver));
 
   ProfileData Data;
   if (Error E = R.need(8))
@@ -221,15 +281,16 @@ Expected<ProfileData> gprof::readGmon(const uint8_t *Bytes, size_t Size,
   if (Error E = R.need(8))
     return E;
   uint64_t NumBuckets = R.u64();
-  if (NumBuckets > MaxRecords)
+  if (NumBuckets > MaxBuckets)
     return Error::failure(
         format("gmon histogram implausibly large (%llu buckets)",
                static_cast<unsigned long long>(NumBuckets)));
-  // Validate the length against the bytes actually present before
-  // allocating, so corrupted counts fail cleanly instead of exhausting
-  // memory.  Tolerant mode treats the shortfall as a torn tail instead
-  // and keeps the buckets that made it to disk.
-  if (!Opts.Tolerant && NumBuckets * 8 > R.remaining())
+  // A dense histogram's length is checked against the bytes present
+  // before allocating, so a corrupted count fails cleanly.  Tolerant mode
+  // treats the shortfall as a torn tail instead and keeps the buckets
+  // that made it to disk.  A sparse histogram's pair list is checked
+  // against its own byte length below.
+  if (Ver < VersionSparse && !Opts.Tolerant && NumBuckets * 8 > R.remaining())
     return Error::failure("gmon histogram longer than the file");
 
   if (NumBuckets != 0) {
@@ -246,7 +307,110 @@ Expected<ProfileData> gprof::readGmon(const uint8_t *Bytes, size_t Size,
                  "range implies %llu",
                  static_cast<unsigned long long>(NumBuckets),
                  static_cast<unsigned long long>(Implied)));
-    Histogram H(LowPc, HighPc, BucketSize);
+    Data.Hist = Histogram(LowPc, HighPc, BucketSize);
+  }
+  Histogram &H = Data.Hist;
+
+  if (Ver >= VersionSparse) {
+    // Sparse counts: nnonzero, the pair list's byte length, then one
+    // (gap, count) varint pair per nonzero bucket.  Only the canonical
+    // encoding is accepted, and the pairs must end exactly at the list's
+    // length, in both modes.  Only a list that runs past the end of the
+    // file counts as torn; tolerant mode keeps its whole pairs.
+    if (Opts.Tolerant && R.remaining() < 16) {
+      NoteDamage("histogram pair list header truncated");
+      return FinishSalvaged(std::move(Data));
+    }
+    if (Error E = R.need(8))
+      return E;
+    uint64_t NonZero = R.u64();
+    if (NonZero > NumBuckets)
+      return Error::failure(
+          format("gmon histogram records %llu nonzero buckets of %llu",
+                 static_cast<unsigned long long>(NonZero),
+                 static_cast<unsigned long long>(NumBuckets)));
+    if (Error E = R.need(8))
+      return E;
+    uint64_t ListBytes = R.u64();
+    if (ListBytes < NonZero * MinPairBytes ||
+        ListBytes > NonZero * MaxPairBytes)
+      return Error::failure(
+          format("gmon histogram pair list of %llu bytes cannot hold %llu "
+                 "pairs",
+                 static_cast<unsigned long long>(ListBytes),
+                 static_cast<unsigned long long>(NonZero)));
+    const bool ListTorn = ListBytes > R.remaining();
+    if (ListTorn && !Opts.Tolerant)
+      return Error::failure("gmon histogram longer than the file");
+    // The list, or what is left of it, at its offsets in the file.
+    ByteCursor L{R.Data, ListTorn ? R.Size : R.Pos + ListBytes, R.Pos};
+    auto ListEndError = [&] {
+      return Error::failure(
+          format("gmon histogram pair list does not end at its %llu bytes",
+                 static_cast<unsigned long long>(ListBytes)));
+    };
+    // Decodes one varint from the list.  Running out of the list's bytes
+    // sets Torn at a cut and is an error anywhere else.
+    bool Torn = false;
+    auto ReadVarint = [&](uint64_t &V) -> Error {
+      size_t At = L.Pos;
+      switch (decodeVarint(L, V)) {
+      case VarintStatus::Ok:
+        break;
+      case VarintStatus::Torn:
+        if (!ListTorn)
+          return ListEndError();
+        Torn = true;
+        break;
+      case VarintStatus::Overlong:
+        return Error::failure(
+            format("gmon histogram varint at offset %zu is overlong", At));
+      case VarintStatus::TooWide:
+        return Error::failure(format(
+            "gmon histogram varint at offset %zu is wider than 64 bits", At));
+      }
+      return Error::success();
+    };
+    uint64_t Next = 0; // Lowest bucket index the next pair may name.
+    uint64_t Whole = 0;
+    for (; Whole != NonZero; ++Whole) {
+      uint64_t Gap = 0, Count = 0;
+      if (Error E = ReadVarint(Gap))
+        return E;
+      if (Torn)
+        break;
+      if (Gap >= NumBuckets - Next)
+        return Error::failure(
+            format("gmon histogram pair %llu names a bucket past %llu",
+                   static_cast<unsigned long long>(Whole),
+                   static_cast<unsigned long long>(NumBuckets)));
+      if (Error E = ReadVarint(Count))
+        return E;
+      if (Torn)
+        break;
+      if (Count == 0)
+        return Error::failure(
+            format("gmon histogram pair %llu has a zero count",
+                   static_cast<unsigned long long>(Whole)));
+      Next += Gap;
+      H.setBucketCount(static_cast<size_t>(Next), Count);
+      ++Next;
+    }
+    // Every pair decoded: the list must end exactly here, cut or not.
+    if (!Torn && L.Pos - R.Pos != ListBytes)
+      return ListEndError();
+    if (Torn)
+      NoteDamage(format("histogram truncated after %llu of %llu recorded "
+                        "buckets",
+                        static_cast<unsigned long long>(Whole),
+                        static_cast<unsigned long long>(NonZero)));
+    S.SalvagedBuckets = Whole;
+    S.DroppedBuckets = NonZero - Whole;
+    // What is left after a torn pair is that pair, not records.
+    if (S.DroppedBuckets != 0)
+      return FinishSalvaged(std::move(Data));
+    R.Pos = L.Pos;
+  } else if (NumBuckets != 0) {
     // Bulk in-place decode: every whole 8-byte bucket still in the span.
     // Strict mode already proved all of them fit; tolerant mode keeps the
     // intact prefix and notes the torn tail.
@@ -262,7 +426,6 @@ Expected<ProfileData> gprof::readGmon(const uint8_t *Bytes, size_t Size,
     R.Pos += Whole * 8;
     S.SalvagedBuckets = Whole;
     S.DroppedBuckets = H.numBuckets() - Whole;
-    Data.Hist = std::move(H);
     // A cut inside the counts leaves no room for an arc table; anything
     // left in the stream is the torn bucket, not records.
     if (S.DroppedBuckets != 0)

@@ -6,31 +6,45 @@
 ///
 /// \file
 /// The "gmon.out" equivalent: a versioned binary container for one run's
-/// condensed profiling data.  Layout (all little-endian):
+/// condensed profiling data.  Layout (all little-endian), as written
+/// today (version 3):
 ///
 ///   magic   "GMON"            4 bytes
-///   version u32               1, or 2 when extension sections follow
+///   version u32               3
 ///   hz      u64               ticks per second
 ///   runs    u32               runs summed into this file
 ///   flags   u8                bit 0: arc table overflowed
-///                             bit 1 (v2): context-tree recorder overflowed
-///   hist:   lowpc u64, highpc u64, bucketsize u64, nbuckets u64,
-///           counts u64[nbuckets]   (nbuckets == 0 encodes "no histogram")
+///                             bit 1: context-tree recorder overflowed
+///   hist:   lowpc u64, highpc u64, bucketsize u64, nbuckets u64
+///           (nbuckets == 0 encodes "no histogram"), then nnonzero u64,
+///           listbytes u64, and the pair list: one (gap, count) LEB128
+///           varint pair per nonzero bucket in ascending order, listbytes
+///           long; gap is the bucket's index for the first pair and
+///           index - previous - 1 after it
 ///   arcs:   narcs u64, then {frompc u64, selfpc u64, count u64}[narcs]
+///   nsections u32, then per section {tag u32, bytelen u64, payload}
 ///
-/// Version 2 appends tagged extension sections after the arc table —
-/// nsections u32, then per section {tag u32, bytelen u64, payload} — so a
-/// reader skips tags it does not know and future records ride along
-/// without another version bump.  The one section defined today is the
-/// calling-context tree (tag "CCTR"): nnodes u64 followed by 36-byte
-/// nodes {parent u32, frompc u64, selfpc u64, calls u64, ticks u64} in
-/// canonical preorder (parent index < node index, CctRootParent at depth
-/// 1).  A profile without contexts still writes version 1, byte-identical
-/// to every earlier release — store digests and goldens are unchanged.
+/// A reader skips extension sections whose tag it does not know, so
+/// future records ride along without another version bump.  The one
+/// section defined today is the calling-context tree (tag "CCTR"):
+/// nnodes u64 followed by 36-byte nodes {parent u32, frompc u64, selfpc
+/// u64, calls u64, ticks u64} in canonical preorder (parent index < node
+/// index, CctRootParent at depth 1).
 ///
-/// The reader validates the magic, version, and every length field, and
-/// rejects trailing garbage, so damaged files are reported rather than
-/// silently misparsed.  A tolerant mode (GmonReadOptions) instead
+/// Versions 1 and 2 are still read.  They store the histogram densely, as
+/// counts u64[nbuckets] in place of nnonzero, listbytes and the pair
+/// list; version 1 ends after the arc table, and version 2 has the
+/// section list.  Writing only the sampled buckets shrinks a typical
+/// bucket-size-1 profile about 16x.  The in-memory Histogram stays dense
+/// whatever the version, so recording a tick stays O(1).
+///
+/// The reader validates the magic, version, and every length field,
+/// accepts only the canonical sparse encoding (no zero count, no overlong
+/// or over-64-bit varint, no bucket index at or past nbuckets, a pair
+/// list that ends exactly at listbytes), caps nbuckets at 2^23 so no
+/// read allocates more than 64 MiB for a histogram, and rejects trailing
+/// garbage, so damaged files are reported rather than silently
+/// misparsed.  A tolerant mode (GmonReadOptions) instead
 /// salvages every record fully serialized before a truncation point —
 /// the recovery story for profiles torn by a crash at condense time
 /// (docs/ROBUSTNESS.md).
@@ -49,7 +63,7 @@
 
 namespace gprof {
 
-/// Serializes \p Data into the gmon container format.
+/// Serializes \p Data into the gmon container format, version 3.
 std::vector<uint8_t> writeGmon(const ProfileData &Data);
 
 /// How to treat damaged gmon bytes (docs/ROBUSTNESS.md).
@@ -69,7 +83,9 @@ struct GmonReadOptions {
 /// What a tolerant read dropped (all zero for an intact file).
 struct GmonSalvage {
   bool Damaged = false;        ///< Anything below is nonzero.
-  uint64_t SalvagedBuckets = 0; ///< Histogram buckets recovered intact.
+  /// Histogram buckets recovered intact: every bucket in versions 1 and
+  /// 2, the recorded (nonzero) buckets in version 3.
+  uint64_t SalvagedBuckets = 0;
   uint64_t DroppedBuckets = 0;  ///< Buckets lost to the cut (read as 0).
   uint64_t SalvagedArcs = 0;    ///< Arc records recovered intact.
   uint64_t DroppedArcs = 0;     ///< Arc records lost to the cut.

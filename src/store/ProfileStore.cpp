@@ -58,6 +58,44 @@ uint64_t wallClockNs() {
           .count());
 }
 
+/// Parses the gmon bytes \p Data[0, Size) of the \p What file at \p Path,
+/// once they hash to \p Want: on-disk damage that still parses must never
+/// be summed or served.  Hash and parse read the same mapped view.
+Expected<ProfileData> parseVerified(const std::string &Path, const char *What,
+                                    const uint8_t *Data, size_t Size,
+                                    const Sha256Digest &Want) {
+  if (Sha256::hash(Data, Size) != Want)
+    return Error::failure(
+        format("%s: %s bytes do not match their digest", Path.c_str(), What));
+  auto Parsed = readGmon(Data, Size);
+  if (!Parsed)
+    return Error::failure(Path + ": " + Parsed.message());
+  return Parsed;
+}
+
+/// A cache entry is the aggregate's gmon bytes followed by their SHA-256,
+/// so a hit is verified before it is served.
+constexpr size_t CacheDigestBytes = sizeof(Sha256Digest);
+
+std::vector<uint8_t> encodeCacheEntry(const ProfileData &Data) {
+  std::vector<uint8_t> Bytes = writeGmon(Data);
+  Sha256Digest Sum = Sha256::hash(Bytes);
+  Bytes.insert(Bytes.end(), Sum.begin(), Sum.end());
+  return Bytes;
+}
+
+Expected<ProfileData> loadCacheEntry(const std::string &Path) {
+  auto Map = MappedFile::open(Path);
+  if (!Map)
+    return Map.takeError();
+  if (Map->size() < CacheDigestBytes)
+    return Error::failure(Path + ": cache entry shorter than its digest");
+  const size_t Body = Map->size() - CacheDigestBytes;
+  Sha256Digest Want{};
+  std::copy(Map->data() + Body, Map->data() + Map->size(), Want.begin());
+  return parseVerified(Path, "cache entry", Map->data(), Body, Want);
+}
+
 } // namespace
 
 Expected<ProfileStore> ProfileStore::open(const std::string &RootDir) {
@@ -477,19 +515,12 @@ Expected<ShardInfo> ProfileStore::resolve(const std::string &HexPrefix) const {
 
 Expected<ProfileData>
 ProfileStore::loadShard(const Sha256Digest &Digest) const {
+  // The slot name promises the content; verify before trusting it.
   std::string Path = objectPath(Digest);
-  // Hash and parse the object in place out of one mapping: the digest
-  // check and the gmon decode both read the same view, no copy between.
   auto Map = MappedFile::open(Path);
   if (!Map)
     return Map.takeError();
-  // The slot name promises the content; verify before trusting it.
-  if (Sha256::hash(Map->data(), Map->size()) != Digest)
-    return Error::failure(Path + ": object bytes do not match their digest");
-  auto Data = readGmon(Map->data(), Map->size());
-  if (!Data)
-    return Error::failure(Path + ": " + Data.message());
-  return Data;
+  return parseVerified(Path, "object", Map->data(), Map->size(), Digest);
 }
 
 Expected<ProfileData> ProfileStore::loadRun(const RunInfo &Run) const {
@@ -499,12 +530,8 @@ Expected<ProfileData> ProfileStore::loadRun(const RunInfo &Run) const {
   auto Map = MappedFile::open(Path);
   if (!Map)
     return Map.takeError();
-  if (Sha256::hash(Map->data(), Map->size()) != Run.ContentDigest)
-    return Error::failure(Path + ": run bytes do not match their digest");
-  auto Data = readGmon(Map->data(), Map->size());
-  if (!Data)
-    return Error::failure(Path + ": " + Data.message());
-  return Data;
+  return parseVerified(Path, "run", Map->data(), Map->size(),
+                       Run.ContentDigest);
 }
 
 Sha256Digest
@@ -628,16 +655,17 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
       telemetry::gauge("store.merge.cache_misses");
   std::string Cached = cachePath(Result.Digest);
   if (fileExists(Cached)) {
-    auto Data = readGmonFile(Cached);
+    auto Data = loadCacheEntry(Cached);
     if (Data) {
       CacheHits.add(1);
       Result.Data = Data.takeValue();
       Result.CacheHit = true;
       return Result;
     }
-    // A damaged cache entry is recomputed below — but evict it *now*: if
-    // the recompute errors out before its atomic rename replaces the
-    // file, a lingering torn entry would fail every subsequent query.
+    // A damaged cache entry — torn, or failing its digest — is recomputed
+    // below, but evicted *now*: if the recompute errors out before its
+    // atomic rename replaces the file, a lingering damaged entry would
+    // fail every subsequent query.
     (void)Data.takeError();
     telemetry::counter("store.merge.cache_evictions").add(1);
     if (Error E = removeFile(Cached))
@@ -680,7 +708,7 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
   if (!Merged)
     return Merged.takeError();
   Result.Data = Merged.takeValue();
-  std::vector<uint8_t> CacheBytes = writeGmon(Result.Data);
+  std::vector<uint8_t> CacheBytes = encodeCacheEntry(Result.Data);
   // Atomic: readers race with cache population, and a torn cache entry
   // under the aggregate key would be served as a (corrupt) hit.
   if (Error E =

@@ -14,7 +14,8 @@
 ///   index.bin                    versioned binary index of shards and runs
 ///   objects/<hh>/<digest>.gmon   canonical shard bytes, content-addressed
 ///   runs/<digest>.gmon           compacted partial merges (merge-tree runs)
-///   cache/<digest>.gmon          merged aggregates, keyed by member set
+///   cache/<digest>.gmon          merged aggregates, keyed by member set,
+///                                each followed by its bytes' SHA-256
 ///
 /// Shards are canonicalized (arc table sorted, duplicates coalesced) before
 /// digesting, so the same logical profile always lands in the same slot no
@@ -232,7 +233,9 @@ public:
 
   /// Merges the shards named by \p Members (every shard when empty) and
   /// caches the aggregate; subsequent identical queries are served from
-  /// the cache without re-merging.  Compacted runs fully covered by the
+  /// the cache without re-merging, once the entry's bytes match the
+  /// digest stored with them (a mismatch is evicted and recomputed,
+  /// store.merge.cache_evictions).  Compacted runs fully covered by the
   /// member set substitute for their members, so a compacted store merges
   /// a handful of runs instead of every shard; a run whose bytes fail
   /// their digest falls back to its members (store.merge.run_fallbacks).

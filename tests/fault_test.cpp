@@ -7,11 +7,15 @@
 /// \file
 /// Crash-safety tests (docs/ROBUSTNESS.md): the fault-injection registry
 /// itself, atomic write-then-rename under injected faults, the tolerant
-/// gmon reader over a deterministic truncation/mutation corpus, and a
+/// gmon reader over a deterministic truncation/mutation corpus of dense
+/// (version 1 and 2) and sparse (version 3) files, and a
 /// fault sweep over every store I/O path asserting that a failed operation
 /// never leaves a torn artifact behind.
 ///
 //===----------------------------------------------------------------------===//
+
+#include "gmon_edge_profiles.h"
+#include "reference_gmon.h"
 
 #include "gmon/GmonFile.h"
 #include "runtime/Monitor.h"
@@ -77,9 +81,9 @@ ProfileData makeRefData() {
   return D;
 }
 
-// Serialized layout of makeRefData() (docs/FORMATS.md): the fixed header
-// runs through the histogram geometry, then counts, then narcs, then
-// 24-byte arc records.
+// Dense (version 1) layout of makeRefData(), as writeGmonDense writes it
+// (docs/FORMATS.md): the fixed header runs through the histogram
+// geometry, then counts, then narcs, then 24-byte arc records.
 constexpr size_t HeaderSize = 53;
 constexpr size_t NumBuckets = 8;
 constexpr size_t NumArcs = 5;
@@ -316,7 +320,7 @@ TEST_F(AtomicWriteTest, MultiThreadSnapshotWriteFaultLeavesNoTornGmon) {
 
 TEST_F(FaultCorpusTest, TruncationEveryCutPoint) {
   ProfileData Ref = makeRefData();
-  std::vector<uint8_t> Bytes = writeGmon(Ref);
+  std::vector<uint8_t> Bytes = writeGmonDense(Ref);
   ASSERT_EQ(Bytes.size(), TotalSize);
   GmonReadOptions Tol;
   Tol.Tolerant = true;
@@ -381,7 +385,7 @@ TEST_F(FaultCorpusTest, TolerantIntactFileReportsNoDamage) {
   GmonReadOptions Tol;
   Tol.Tolerant = true;
   GmonSalvage S;
-  auto Back = readGmon(writeGmon(makeRefData()), Tol, &S);
+  auto Back = readGmon(writeGmonDense(makeRefData()), Tol, &S);
   ASSERT_TRUE(static_cast<bool>(Back));
   EXPECT_FALSE(S.Damaged);
   EXPECT_TRUE(S.Note.empty());
@@ -392,7 +396,7 @@ TEST_F(FaultCorpusTest, TolerantIntactFileReportsNoDamage) {
 TEST_F(FaultCorpusTest, TolerantAcceptsTrailingJunk) {
   GmonReadOptions Tol;
   Tol.Tolerant = true;
-  auto Bytes = writeGmon(makeRefData());
+  auto Bytes = writeGmonDense(makeRefData());
   Bytes.insert(Bytes.end(), 17, 0xEE);
   GmonSalvage S;
   auto Back = readGmon(Bytes, Tol, &S);
@@ -407,7 +411,7 @@ TEST_F(FaultCorpusTest, TolerantAcceptsTrailingJunk) {
 TEST_F(FaultCorpusTest, TolerantStillRejectsLyingHeaders) {
   GmonReadOptions Tol;
   Tol.Tolerant = true;
-  auto Valid = writeGmon(makeRefData());
+  auto Valid = writeGmonDense(makeRefData());
 
   auto ExpectReject = [&](std::vector<uint8_t> Bytes, const char *What) {
     auto Back = readGmon(Bytes, Tol);
@@ -431,7 +435,7 @@ TEST_F(FaultCorpusTest, ByteMutationNeverCrashesEitherMode) {
   // Any outcome (reject, salvage, or a still-valid parse) is acceptable;
   // what this drives — under ASan/UBSan in sanitizer builds — is that no
   // mutation can crash, overflow, or leak in either reader mode.
-  auto Bytes = writeGmon(makeRefData());
+  auto Bytes = writeGmonDense(makeRefData());
   GmonReadOptions Tol;
   Tol.Tolerant = true;
   for (size_t I = 0; I != Bytes.size(); ++I) {
@@ -455,7 +459,7 @@ TEST_F(FaultCorpusTest, TolerantSummingReportsDamagedInputs) {
   std::string Torn = Dir.Path + "/torn.out";
   ProfileData Ref = makeRefData();
   cantFail(writeGmonFile(Intact, Ref));
-  auto Bytes = writeGmon(Ref);
+  auto Bytes = writeGmonDense(Ref);
   // Cut after the third arc record.
   Bytes.resize(ArcsStart + 3 * 24 + 7);
   cantFail(writeFileBytes(Torn, Bytes));
@@ -518,20 +522,20 @@ constexpr size_t CtxTotalSize = CtxNodesStart + 36 * NumCtxNodes;
 
 TEST_F(FaultCorpusTest, ContextFileRoundTripsAndProjectsToV1) {
   ProfileData Ref = makeRefDataWithContexts();
-  std::vector<uint8_t> Bytes = writeGmon(Ref);
+  std::vector<uint8_t> Bytes = writeGmonDense(Ref);
   ASSERT_EQ(Bytes.size(), CtxTotalSize);
   EXPECT_EQ(Bytes[4], 2) << "context-carrying files are version 2";
 
   // Byte-exact round trip through the strict reader.
   ProfileData Back = cantFail(readGmon(Bytes));
-  EXPECT_EQ(writeGmon(Back), Bytes);
+  EXPECT_EQ(writeGmonDense(Back), Bytes);
   ASSERT_EQ(Back.Contexts.size(), NumCtxNodes);
   EXPECT_EQ(Back.Contexts[2].SelfPc, 0x300u);
   EXPECT_EQ(Back.Contexts[2].Ticks, 6u);
 
   // Arcs-only profiles stay version 1: the v1 image of the same data is
   // the context file minus the extension region and the version byte.
-  std::vector<uint8_t> V1 = writeGmon(makeRefData());
+  std::vector<uint8_t> V1 = writeGmonDense(makeRefData());
   ASSERT_EQ(V1.size(), TotalSize);
   EXPECT_EQ(V1[4], 1);
   for (size_t I = 0; I != TotalSize; ++I)
@@ -541,7 +545,7 @@ TEST_F(FaultCorpusTest, ContextFileRoundTripsAndProjectsToV1) {
 
 TEST_F(FaultCorpusTest, ContextTruncationEveryCutPoint) {
   ProfileData Ref = makeRefDataWithContexts();
-  std::vector<uint8_t> Bytes = writeGmon(Ref);
+  std::vector<uint8_t> Bytes = writeGmonDense(Ref);
   GmonReadOptions Tol;
   Tol.Tolerant = true;
 
@@ -590,7 +594,7 @@ TEST_F(FaultCorpusTest, ContextTruncationEveryCutPoint) {
 }
 
 TEST_F(FaultCorpusTest, ContextByteMutationNeverCrashesEitherMode) {
-  auto Bytes = writeGmon(makeRefDataWithContexts());
+  auto Bytes = writeGmonDense(makeRefDataWithContexts());
   GmonReadOptions Tol;
   Tol.Tolerant = true;
   for (size_t I = 0; I != Bytes.size(); ++I) {
@@ -609,7 +613,7 @@ TEST_F(FaultCorpusTest, ContextByteMutationNeverCrashesEitherMode) {
 }
 
 TEST_F(FaultCorpusTest, ContextTolerantStillRejectsLyingSections) {
-  auto Valid = writeGmon(makeRefDataWithContexts());
+  auto Valid = writeGmonDense(makeRefDataWithContexts());
   GmonReadOptions Tol;
   Tol.Tolerant = true;
 
@@ -644,7 +648,7 @@ TEST_F(FaultCorpusTest, UnknownExtensionSectionIsSkippedCleanly) {
   // Forward compatibility: append a second section with an unknown tag;
   // both modes must skip it whole and still deliver the context tree.
   ProfileData Ref = makeRefDataWithContexts();
-  auto Bytes = writeGmon(Ref);
+  auto Bytes = writeGmonDense(Ref);
   Bytes[SectCountStart] = 2; // nsections: 1 -> 2
   const uint8_t Unknown[] = {0x58, 0x58, 0x58, 0x58, // tag "XXXX"
                              5,    0,    0,    0,    0, 0, 0, 0, // len 5
@@ -662,6 +666,142 @@ TEST_F(FaultCorpusTest, UnknownExtensionSectionIsSkippedCleanly) {
     // Re-serializing drops the unknown section (we cannot regenerate
     // what we did not understand) but keeps the tree.
     EXPECT_EQ(writeGmon(*Back), writeGmon(Ref)) << "tolerant=" << Tolerant;
+  }
+}
+
+//===----------------------------------------------------------------------===//
+// Truncation and mutation corpus: sparse version-3 histograms
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+// Version-3 layout of makeRefData(), as writeGmon writes it: the same
+// 53-byte header, nnonzero, the pair list's byte length, one 2-byte
+// (gap 0, count B+1) pair per bucket, narcs, the arc records, and a zero
+// section count.
+constexpr size_t PairsStart = HeaderSize + 8 + 8;
+constexpr size_t PairsEnd = PairsStart + 2 * NumBuckets;
+constexpr size_t SparseArcsStart = PairsEnd + 8;
+constexpr size_t SparseArcsEnd = SparseArcsStart + 24 * NumArcs;
+constexpr size_t SparseTotalSize = SparseArcsEnd + 4;
+
+} // namespace
+
+TEST_F(FaultCorpusTest, SparseTruncationEveryCutPoint) {
+  ProfileData Ref = makeRefData();
+  std::vector<uint8_t> Bytes = writeGmon(Ref);
+  ASSERT_EQ(Bytes.size(), SparseTotalSize);
+  GmonReadOptions Tol;
+  Tol.Tolerant = true;
+
+  for (size_t Cut = 0; Cut != Bytes.size(); ++Cut) {
+    std::vector<uint8_t> Short(Bytes.begin(), Bytes.begin() + Cut);
+
+    auto Strict = readGmon(Short);
+    EXPECT_FALSE(static_cast<bool>(Strict)) << "strict cut at " << Cut;
+    (void)Strict.takeError();
+
+    GmonSalvage S;
+    auto Back = readGmon(Short, Tol, &S);
+    if (Cut < HeaderSize) {
+      // The salvage floor is the v1 header, unchanged.
+      EXPECT_FALSE(static_cast<bool>(Back)) << "tolerant cut at " << Cut;
+      (void)Back.takeError();
+      continue;
+    }
+    ASSERT_TRUE(static_cast<bool>(Back)) << "tolerant cut at " << Cut;
+    EXPECT_TRUE(S.Damaged) << Cut;
+    EXPECT_FALSE(S.Note.empty()) << Cut;
+    EXPECT_EQ(Back->TicksPerSecond, Ref.TicksPerSecond) << Cut;
+    EXPECT_EQ(Back->RunCount, Ref.RunCount) << Cut;
+    ASSERT_EQ(Back->Hist.numBuckets(), NumBuckets) << Cut;
+
+    if (Cut < PairsStart) {
+      // Cut inside nnonzero or the list's length: the geometry survives,
+      // no count does.
+      EXPECT_NE(S.Note.find("pair list header"), std::string::npos) << Cut;
+      EXPECT_EQ(S.SalvagedBuckets, 0u) << Cut;
+      EXPECT_EQ(Back->Hist.totalSamples(), 0u) << Cut;
+      EXPECT_TRUE(Back->Arcs.empty()) << Cut;
+    } else if (Cut < PairsEnd) {
+      // Cut inside the pairs: every whole pair survives, the torn pair
+      // and everything after it reads as zero, no arcs.
+      size_t Whole = (Cut - PairsStart) / 2;
+      EXPECT_EQ(S.SalvagedBuckets, Whole) << Cut;
+      EXPECT_EQ(S.DroppedBuckets, NumBuckets - Whole) << Cut;
+      for (size_t B = 0; B != NumBuckets; ++B)
+        EXPECT_EQ(Back->Hist.bucketCount(B), B < Whole ? B + 1 : 0u)
+            << "cut " << Cut << " bucket " << B;
+      EXPECT_TRUE(Back->Arcs.empty()) << Cut;
+    } else if (Cut < SparseArcsStart) {
+      EXPECT_EQ(S.SalvagedBuckets, NumBuckets) << Cut;
+      EXPECT_EQ(S.DroppedBuckets, 0u) << Cut;
+      EXPECT_NE(S.Note.find("arc table count"), std::string::npos) << Cut;
+      EXPECT_TRUE(Back->Arcs.empty()) << Cut;
+    } else if (Cut < SparseArcsEnd) {
+      size_t Whole = (Cut - SparseArcsStart) / 24;
+      EXPECT_EQ(S.SalvagedArcs, Whole) << Cut;
+      EXPECT_EQ(S.DroppedArcs, NumArcs - Whole) << Cut;
+      for (size_t B = 0; B != NumBuckets; ++B)
+        EXPECT_EQ(Back->Hist.bucketCount(B), B + 1) << Cut;
+      ASSERT_EQ(Back->Arcs.size(), Whole) << Cut;
+      for (size_t A = 0; A != Whole; ++A)
+        EXPECT_EQ(Back->Arcs[A].Count, Ref.Arcs[A].Count) << Cut;
+    } else {
+      // Cut inside the section count: everything before it survives.
+      EXPECT_NE(S.Note.find("extension section count"), std::string::npos)
+          << Cut;
+      EXPECT_EQ(S.SalvagedArcs, NumArcs) << Cut;
+      EXPECT_EQ(writeGmonDense(*Back), writeGmonDense(Ref)) << Cut;
+    }
+  }
+}
+
+TEST_F(FaultCorpusTest, SparseEdgeHistogramsSalvageWholePairs) {
+  // At every cut of every edge histogram, a tolerant read keeps exactly
+  // the recorded buckets whose pairs were whole, in ascending order, and
+  // the arc and context prefixes after them.
+  std::vector<std::pair<std::string, ProfileData>> Corpus =
+      gmonEdgeProfiles();
+  Corpus.push_back({"reference with contexts", makeRefDataWithContexts()});
+  GmonReadOptions Tol;
+  Tol.Tolerant = true;
+  for (const auto &[Name, Ref] : Corpus) {
+    std::vector<size_t> Recorded; // Nonzero buckets, ascending.
+    for (size_t B = 0; B != Ref.Hist.numBuckets(); ++B)
+      if (Ref.Hist.bucketCount(B) != 0)
+        Recorded.push_back(B);
+    const std::vector<uint8_t> Bytes = writeGmon(Ref);
+    for (size_t Cut = HeaderSize; Cut != Bytes.size(); ++Cut) {
+      std::vector<uint8_t> Short(Bytes.begin(), Bytes.begin() + Cut);
+      auto Strict = readGmon(Short);
+      EXPECT_FALSE(static_cast<bool>(Strict)) << Name << " cut " << Cut;
+      (void)Strict.takeError();
+      GmonSalvage S;
+      auto Back = readGmon(Short, Tol, &S);
+      ASSERT_TRUE(static_cast<bool>(Back)) << Name << " cut " << Cut;
+      EXPECT_TRUE(S.Damaged) << Name << " cut " << Cut;
+      ASSERT_EQ(Back->Hist.numBuckets(), Ref.Hist.numBuckets()) << Name;
+      ASSERT_LE(S.SalvagedBuckets, Recorded.size()) << Name << " cut " << Cut;
+      if (Cut >= PairsStart) {
+        EXPECT_EQ(S.SalvagedBuckets + S.DroppedBuckets, Recorded.size())
+            << Name << " cut " << Cut;
+      }
+      std::vector<uint64_t> Want(Ref.Hist.numBuckets(), 0);
+      for (size_t K = 0; K != S.SalvagedBuckets; ++K)
+        Want[Recorded[K]] = Ref.Hist.bucketCount(Recorded[K]);
+      EXPECT_EQ(Back->Hist.counts(), Want) << Name << " cut " << Cut;
+      ASSERT_LE(Back->Arcs.size(), Ref.Arcs.size()) << Name;
+      if (!Back->Arcs.empty()) {
+        EXPECT_EQ(S.SalvagedBuckets, Recorded.size())
+            << Name << " cut " << Cut;
+      }
+      for (size_t A = 0; A != Back->Arcs.size(); ++A)
+        EXPECT_EQ(Back->Arcs[A].SelfPc, Ref.Arcs[A].SelfPc) << Name;
+      ASSERT_LE(Back->Contexts.size(), Ref.Contexts.size()) << Name;
+      for (size_t N = 0; N != Back->Contexts.size(); ++N)
+        EXPECT_EQ(Back->Contexts[N].Ticks, Ref.Contexts[N].Ticks) << Name;
+    }
   }
 }
 
@@ -756,12 +896,14 @@ TEST_F(StoreFaultTest, MergeFaultSweepLeavesStoreIntact) {
     EXPECT_EQ(snapshotTree(Root), Before) << C.Point << " nth " << C.Nth;
   }
 
-  // Unarmed, the same merge succeeds and its cache entry parses cleanly.
+  // Unarmed, the same merge succeeds, and its cache entry is the
+  // aggregate's gmon bytes followed by their SHA-256 (docs/FORMATS.md).
   auto Result = Store->merge({});
   ASSERT_TRUE(static_cast<bool>(Result));
-  auto Cached = readGmonFile(Store->cachePath(Result->Digest));
-  ASSERT_TRUE(static_cast<bool>(Cached));
-  EXPECT_EQ(writeGmon(*Cached), writeGmon(Result->Data));
+  std::vector<uint8_t> Want = writeGmon(Result->Data);
+  Sha256Digest Sum = Sha256::hash(Want);
+  Want.insert(Want.end(), Sum.begin(), Sum.end());
+  EXPECT_EQ(cantFail(readFileBytes(Store->cachePath(Result->Digest))), Want);
 }
 
 TEST_F(StoreFaultTest, GcFaultFailsWithoutSweeping) {
@@ -835,7 +977,7 @@ TEST_F(StoreFaultTest, GcSweepsStaleTempFiles) {
 TEST_F(StoreFaultTest, TolerantStoreIngestsTruncatedShard) {
   TempDir Dir("tolerant_put");
   std::string Torn = Dir.Path + "/torn.out";
-  auto Bytes = writeGmon(makeRefData());
+  auto Bytes = writeGmonDense(makeRefData());
   Bytes.resize(ArcsStart + 2 * 24); // Keep two whole arc records.
   cantFail(writeFileBytes(Torn, Bytes));
 
@@ -857,6 +999,31 @@ TEST_F(StoreFaultTest, TolerantStoreIngestsTruncatedShard) {
   ASSERT_TRUE(static_cast<bool>(Loaded));
   EXPECT_EQ(Loaded->Arcs.size(), 2u);
   EXPECT_EQ(Loaded->Hist.totalSamples(), makeRefData().Hist.totalSamples());
+}
+
+TEST_F(StoreFaultTest, TolerantStoreIngestsTruncatedSparseShard) {
+  TempDir Dir("tolerant_put_v3");
+  std::string Torn = Dir.Path + "/torn.out";
+  auto Bytes = writeGmon(makeRefData());
+  Bytes.resize(PairsStart + 2 * 5 + 1); // Five whole pairs, one torn.
+  cantFail(writeFileBytes(Torn, Bytes));
+
+  auto Strict = ProfileStore::open(Dir.Path + "/strict");
+  ASSERT_TRUE(static_cast<bool>(Strict));
+  auto Rejected = Strict->putFile(Torn);
+  EXPECT_FALSE(static_cast<bool>(Rejected));
+  (void)Rejected.takeError();
+
+  StoreOptions Tol;
+  Tol.TolerantReads = true;
+  auto Store = ProfileStore::open(Dir.Path + "/tolerant", Tol);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  auto Digest = Store->putFile(Torn);
+  ASSERT_TRUE(static_cast<bool>(Digest));
+  auto Loaded = Store->loadShard(*Digest);
+  ASSERT_TRUE(static_cast<bool>(Loaded));
+  EXPECT_TRUE(Loaded->Arcs.empty());
+  EXPECT_EQ(Loaded->Hist.totalSamples(), 1u + 2 + 3 + 4 + 5);
 }
 
 TEST_F(StoreFaultTest, CompactionFaultSweepNeverTearsStore) {

@@ -4,6 +4,9 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "gmon_edge_profiles.h"
+#include "reference_gmon.h"
+
 #include "gmon/GmonFile.h"
 #include "gmon/Histogram.h"
 #include "gmon/ProfileData.h"
@@ -362,10 +365,82 @@ TEST(GmonFileTest, BadMagicRejected) {
 
 TEST(GmonFileTest, BadVersionRejected) {
   auto Bytes = writeGmon(makeSampleData());
-  Bytes[4] = 99;
-  auto Back = readGmon(Bytes);
-  EXPECT_FALSE(static_cast<bool>(Back));
-  (void)Back.takeError();
+  for (uint8_t Bad : {uint8_t{0}, uint8_t{4}, uint8_t{99}}) {
+    Bytes[4] = Bad;
+    auto Back = readGmon(Bytes);
+    ASSERT_FALSE(static_cast<bool>(Back));
+    // The message names every version the reader accepts.
+    EXPECT_EQ(Back.message(), format("unsupported gmon version %u "
+                                     "(expected 1, 2 or 3)",
+                                     unsigned{Bad}));
+    (void)Back.takeError();
+  }
+}
+
+TEST(GmonFileTest, WritesVersion3AndReadsEveryVersion) {
+  // Version 3 is the only one written; dense version 1 and 2 files, as
+  // older releases wrote them, still read to the same profile.
+  ProfileData D = makeSampleData();
+  std::vector<uint8_t> V3 = writeGmon(D);
+  EXPECT_EQ(V3[4], 3);
+  std::vector<uint8_t> V1 = writeGmonDense(D);
+  ASSERT_EQ(V1[4], 1);
+  EXPECT_EQ(writeGmon(cantFail(readGmon(V1))), V3);
+
+  ProfileData C = D;
+  C.addContextTree({{CctRootParent, 0x1010, 0x1100, 4, 2}});
+  C.ContextTreeOverflowed = true;
+  std::vector<uint8_t> V2 = writeGmonDense(C);
+  ASSERT_EQ(V2[4], 2);
+  ProfileData Back = cantFail(readGmon(V2));
+  EXPECT_TRUE(Back.ContextTreeOverflowed);
+  EXPECT_EQ(writeGmon(Back), writeGmon(C));
+  EXPECT_TRUE(cantFail(readGmon(writeGmon(C))).ContextTreeOverflowed);
+}
+
+TEST(GmonFileTest, SparseEdgeHistogramsRoundTrip) {
+  for (const auto &[Name, D] : gmonEdgeProfiles()) {
+    std::vector<uint8_t> Bytes = writeGmon(D);
+    ProfileData Back = cantFail(readGmon(Bytes));
+    EXPECT_EQ(Back.Hist.lowPc(), D.Hist.lowPc()) << Name;
+    EXPECT_EQ(Back.Hist.highPc(), D.Hist.highPc()) << Name;
+    EXPECT_EQ(Back.Hist.counts(), D.Hist.counts()) << Name;
+    EXPECT_EQ(writeGmon(Back), Bytes) << Name;
+  }
+  // Exact sizes: 53-byte header, nnonzero, the list's byte length, the
+  // pairs, narcs, two arcs and the section count; a pair with gap < 128
+  // and count < 128 is 2 bytes.
+  auto Edge = gmonEdgeProfiles();
+  const size_t Fixed = 53 + 8 + 8 + 8 + 2 * 24 + 4;
+  EXPECT_EQ(writeGmon(Edge[0].second).size(), Fixed);         // all zero
+  EXPECT_EQ(writeGmon(Edge[2].second).size(), Fixed + 2);     // bucket 0
+  EXPECT_EQ(writeGmon(Edge[3].second).size(), Fixed + 2 + 1); // gap 299
+  // Gaps 127/128/13/28 take 1+2+1+1 bytes; counts 127/128/2^63/max take
+  // 1+2+10+10.
+  EXPECT_EQ(writeGmon(Edge[4].second).size(), Fixed + 5 + 23);
+}
+
+TEST(GmonFileTest, BenchmarkShapedShardIsAnEighthOfV1) {
+  // The shape of the repository benchmark's shard: 42,236 size-1 buckets
+  // of which 5,024 were sampled, and 459 arcs.  Dense, that is 348,965
+  // bytes, 96.8% of them bucket counts; version 3 must need at most an
+  // eighth of that.  One sampled bucket in each run of eight, with counts
+  // up to 4,095, so most pairs take three bytes (the benchmark's counts
+  // stay under 128, and its seed-1 shard takes 21,138 bytes).
+  ProfileData D;
+  D.TicksPerSecond = 60;
+  D.Hist = Histogram(0x1000, 0x1000 + 42236, 1);
+  SplitMix64 Rng(21);
+  for (size_t K = 0; K != 5024; ++K)
+    D.Hist.setBucketCount(K * 8 + Rng.nextBelow(8), 1 + Rng.nextBelow(4095));
+  for (uint64_t A = 0; A != 459; ++A)
+    D.addArc(0x1000 + A * 64, 0x1000 + (A % 97) * 400,
+             1 + Rng.nextBelow(1000));
+  const size_t Dense = writeGmonDense(D).size();
+  const size_t Sparse = writeGmon(D).size();
+  EXPECT_EQ(Dense, 348965u);
+  EXPECT_LE(Sparse * 8, Dense) << Sparse << " sparse bytes";
+  EXPECT_EQ(writeGmon(cantFail(readGmon(writeGmonDense(D)))).size(), Sparse);
 }
 
 TEST(GmonFileTest, TruncationRejected) {
@@ -480,14 +555,15 @@ void patchU64(std::vector<uint8_t> &Bytes, size_t Offset, uint64_t Value) {
 
 // Fixed header layout (see docs/FORMATS.md): magic@0, version@4, hz@8,
 // runs@16, flags@20, lowpc@21, highpc@29, bucketsize@37, nbuckets@45,
-// counts@53.
+// then counts@53 in the dense versions 1 and 2 (writeGmonDense) and
+// nnonzero@53 in version 3.
 constexpr size_t NbucketsOffset = 45;
 constexpr size_t CountsOffset = 53;
 
 } // namespace
 
 TEST(GmonFileTest, CorpusTruncatedHeaders) {
-  auto Bytes = writeGmon(makeSampleData());
+  auto Bytes = writeGmonDense(makeSampleData());
   // Every prefix that cuts inside the header or the histogram lengths must
   // fail cleanly.
   for (size_t Cut = 0; Cut != CountsOffset + 8; ++Cut) {
@@ -499,7 +575,7 @@ TEST(GmonFileTest, CorpusTruncatedHeaders) {
 }
 
 TEST(GmonFileTest, CorpusOversizedNbuckets) {
-  auto Valid = writeGmon(makeSampleData());
+  auto Valid = writeGmonDense(makeSampleData());
   // Larger than the plausibility cap, larger than the file, and the
   // all-ones pattern whose byte size would overflow.
   for (uint64_t Bad : std::initializer_list<uint64_t>{
@@ -523,7 +599,7 @@ TEST(GmonFileTest, CorpusOversizedNbuckets) {
 
 TEST(GmonFileTest, CorpusOversizedNarcs) {
   ProfileData D = makeSampleData();
-  auto Valid = writeGmon(D);
+  auto Valid = writeGmonDense(D);
   size_t NarcsOffset = CountsOffset + 8 * D.Hist.numBuckets();
   for (uint64_t Bad : std::initializer_list<uint64_t>{
            ~0ULL, 1ULL << 40, (1ULL << 30) / 8 + 1, 1000}) {
@@ -536,7 +612,7 @@ TEST(GmonFileTest, CorpusOversizedNarcs) {
 }
 
 TEST(GmonFileTest, CorpusTrailingGarbage) {
-  auto Valid = writeGmon(makeSampleData());
+  auto Valid = writeGmonDense(makeSampleData());
   for (size_t Extra : {size_t(1), size_t(7), size_t(4096)}) {
     auto Bytes = Valid;
     Bytes.insert(Bytes.end(), Extra, 0xAB);
@@ -549,13 +625,91 @@ TEST(GmonFileTest, CorpusTrailingGarbage) {
 
 TEST(GmonFileTest, CorpusArcTableTruncations) {
   ProfileData D = makeSampleData();
-  auto Valid = writeGmon(D);
+  auto Valid = writeGmonDense(D);
   size_t ArcsStart = CountsOffset + 8 * D.Hist.numBuckets() + 8;
   // Cut inside each arc record.
   for (size_t Cut = ArcsStart; Cut < Valid.size(); Cut += 5) {
     std::vector<uint8_t> Short(Valid.begin(), Valid.begin() + Cut);
     auto Back = readGmon(Short);
     EXPECT_FALSE(static_cast<bool>(Back)) << "arc cut at " << Cut;
+    (void)Back.takeError();
+  }
+}
+
+namespace {
+
+// Version-3 offsets: nnonzero and the pair list's byte length follow the
+// 53-byte header, then the pairs.
+constexpr size_t NnonzeroOffset = 53;
+constexpr size_t ListBytesOffset = NnonzeroOffset + 8;
+constexpr size_t PairsOffset = ListBytesOffset + 8;
+
+/// Offset of narcs in a version-3 file: after the pairs, which end where
+/// the arc table plus the section count start from the back.
+size_t sparseNarcsOffset(const ProfileData &D, size_t FileSize) {
+  return FileSize - 4 - 24 * D.Arcs.size() - 8;
+}
+
+/// Requires both read modes to reject \p Bytes with a message containing
+/// \p Message.
+void expectRejectedInBothModes(const std::vector<uint8_t> &Bytes,
+                               const std::string &Message,
+                               const std::string &What) {
+  for (bool Tolerant : {false, true}) {
+    GmonReadOptions Opts;
+    Opts.Tolerant = Tolerant;
+    auto Back = readGmon(Bytes, Opts);
+    ASSERT_FALSE(static_cast<bool>(Back)) << What;
+    EXPECT_NE(Back.message().find(Message), std::string::npos)
+        << What << ": " << Back.message();
+    (void)Back.takeError();
+  }
+}
+
+} // namespace
+
+TEST(GmonFileTest, SparseCorpusOversizedNnonzero) {
+  ProfileData D = makeSampleData();
+  auto Valid = writeGmon(D);
+  // Three pairs in eight bytes: (0, 1), (511, 1), (510, 1).
+  ASSERT_EQ(Valid[ListBytesOffset], 8);
+  // More pairs than buckets, and the all-ones pattern.
+  for (uint64_t Bad : std::initializer_list<uint64_t>{
+           D.Hist.numBuckets() + 1, ~0ULL}) {
+    auto Bytes = Valid;
+    patchU64(Bytes, NnonzeroOffset, Bad);
+    expectRejectedInBothModes(Bytes, "nonzero buckets of",
+                              "nnonzero = " + std::to_string(Bad));
+  }
+  // More or fewer pairs than the list's bytes can hold.
+  for (uint64_t Bad : {uint64_t{5}, uint64_t{0}}) {
+    auto Bytes = Valid;
+    patchU64(Bytes, NnonzeroOffset, Bad);
+    expectRejectedInBothModes(Bytes, "cannot hold",
+                              "nnonzero = " + std::to_string(Bad));
+  }
+  // One pair more or fewer than the list holds: the list does not end at
+  // its length, which a tolerant read does not forgive either.
+  for (uint64_t Bad : {uint64_t{2}, uint64_t{4}}) {
+    auto Bytes = Valid;
+    patchU64(Bytes, NnonzeroOffset, Bad);
+    expectRejectedInBothModes(Bytes, "does not end at its 8 bytes",
+                              "nnonzero = " + std::to_string(Bad));
+  }
+}
+
+TEST(GmonFileTest, SparseCorpusOversizedNarcs) {
+  ProfileData D = makeSampleData();
+  auto Valid = writeGmon(D);
+  size_t NarcsOffset = sparseNarcsOffset(D, Valid.size());
+  // Pairs (0, 1), (511, 1), (510, 1): gaps of 128 or more take 2 bytes.
+  ASSERT_EQ(NarcsOffset, PairsOffset + 2 + 3 + 3);
+  for (uint64_t Bad : std::initializer_list<uint64_t>{
+           ~0ULL, 1ULL << 40, (1ULL << 30) / 8 + 1, 1000}) {
+    auto Bytes = Valid;
+    patchU64(Bytes, NarcsOffset, Bad);
+    auto Back = readGmon(Bytes);
+    EXPECT_FALSE(static_cast<bool>(Back)) << "narcs = " << Bad;
     (void)Back.takeError();
   }
 }

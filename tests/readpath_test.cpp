@@ -9,7 +9,8 @@
 /// fallback semantics under injected faults, a differential corpus
 /// proving the in-place gmon parser bit-identical to the legacy
 /// BinaryStream reference reader (tests/reference_gmon.h) over every
-/// truncation cut and byte mutation (strict and tolerant), and the flat
+/// truncation cut and byte mutation (strict and tolerant) of dense
+/// version 1 and 2 files and sparse version 3 files, and the flat
 /// symbol resolver and open-addressing arc index against their
 /// historical behavior.
 ///
@@ -21,9 +22,11 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "gmon_edge_profiles.h"
 #include "reference_gmon.h"
 
 #include "core/SymbolTable.h"
+#include "support/BinaryStream.h"
 #include "gmon/GmonFile.h"
 #include "support/FaultInjection.h"
 #include "support/FileUtils.h"
@@ -225,13 +228,13 @@ TEST_F(MappedFileTest, GmonFileReadFailsCleanlyUnderMmapFault) {
 //===----------------------------------------------------------------------===//
 
 TEST_F(ReadPathCorpusTest, IntactFileBitIdenticalInBothModes) {
-  std::vector<uint8_t> Bytes = writeGmon(makeRefData());
+  std::vector<uint8_t> Bytes = writeGmonDense(makeRefData());
   expectReadersAgree(Bytes, /*Tolerant=*/false, "intact strict");
   expectReadersAgree(Bytes, /*Tolerant=*/true, "intact tolerant");
 }
 
 TEST_F(ReadPathCorpusTest, TruncationEveryCutPointMatchesReference) {
-  const std::vector<uint8_t> Full = writeGmon(makeRefData());
+  const std::vector<uint8_t> Full = writeGmonDense(makeRefData());
   for (size_t Cut = 0; Cut <= Full.size(); ++Cut) {
     std::vector<uint8_t> Bytes(Full.begin(), Full.begin() + Cut);
     expectReadersAgree(Bytes, false, "strict cut at " + std::to_string(Cut));
@@ -240,7 +243,7 @@ TEST_F(ReadPathCorpusTest, TruncationEveryCutPointMatchesReference) {
 }
 
 TEST_F(ReadPathCorpusTest, EveryByteMutationMatchesReference) {
-  const std::vector<uint8_t> Full = writeGmon(makeRefData());
+  const std::vector<uint8_t> Full = writeGmonDense(makeRefData());
   for (size_t I = 0; I != Full.size(); ++I) {
     std::vector<uint8_t> Bytes = Full;
     Bytes[I] ^= 0xFF;
@@ -250,20 +253,20 @@ TEST_F(ReadPathCorpusTest, EveryByteMutationMatchesReference) {
 }
 
 TEST_F(ReadPathCorpusTest, TrailingJunkMatchesReference) {
-  std::vector<uint8_t> Bytes = writeGmon(makeRefData());
+  std::vector<uint8_t> Bytes = writeGmonDense(makeRefData());
   Bytes.insert(Bytes.end(), {0xDE, 0xAD, 0xBE, 0xEF});
   expectReadersAgree(Bytes, false, "strict trailing");
   expectReadersAgree(Bytes, true, "tolerant trailing");
 }
 
 TEST_F(ReadPathCorpusTest, ContextFileIntactBitIdenticalInBothModes) {
-  std::vector<uint8_t> Bytes = writeGmon(makeRefDataWithContexts());
+  std::vector<uint8_t> Bytes = writeGmonDense(makeRefDataWithContexts());
   expectReadersAgree(Bytes, /*Tolerant=*/false, "v2 intact strict");
   expectReadersAgree(Bytes, /*Tolerant=*/true, "v2 intact tolerant");
 }
 
 TEST_F(ReadPathCorpusTest, ContextTruncationEveryCutPointMatchesReference) {
-  const std::vector<uint8_t> Full = writeGmon(makeRefDataWithContexts());
+  const std::vector<uint8_t> Full = writeGmonDense(makeRefDataWithContexts());
   for (size_t Cut = 0; Cut != Full.size(); ++Cut) {
     std::vector<uint8_t> Bytes(Full.begin(), Full.begin() + Cut);
     expectReadersAgree(Bytes, false,
@@ -274,7 +277,7 @@ TEST_F(ReadPathCorpusTest, ContextTruncationEveryCutPointMatchesReference) {
 }
 
 TEST_F(ReadPathCorpusTest, ContextEveryByteMutationMatchesReference) {
-  const std::vector<uint8_t> Full = writeGmon(makeRefDataWithContexts());
+  const std::vector<uint8_t> Full = writeGmonDense(makeRefDataWithContexts());
   for (size_t I = 0; I != Full.size(); ++I) {
     std::vector<uint8_t> Bytes = Full;
     Bytes[I] ^= 0xFF;
@@ -288,7 +291,7 @@ TEST_F(ReadPathCorpusTest, ContextEveryByteMutationMatchesReference) {
 TEST_F(ReadPathCorpusTest, ContextUnknownSectionSkipMatchesReference) {
   // Forward compatibility through both readers: an extra section with an
   // unknown tag is skipped whole; truncating inside it salvages the rest.
-  std::vector<uint8_t> Bytes = writeGmon(makeRefDataWithContexts());
+  std::vector<uint8_t> Bytes = writeGmonDense(makeRefDataWithContexts());
   Bytes[53 + 8 * 8 + 8 + 24 * 5] = 2; // nsections: 1 -> 2
   const uint8_t Unknown[] = {0x58, 0x58, 0x58, 0x58,
                              6,    0,    0,    0,    0, 0, 0, 0,
@@ -305,10 +308,12 @@ TEST_F(ReadPathCorpusTest, ContextUnknownSectionSkipMatchesReference) {
   }
 }
 
-TEST_F(ReadPathCorpusTest, MmapFileReadMatchesReferenceAtEveryCut) {
-  TempDir Dir("corpus_file");
-  const std::vector<uint8_t> Full = writeGmon(makeRefData());
-  const std::string Path = Dir.Path + "/cut.gmon";
+namespace {
+
+/// Writes every prefix of \p Full to a file and requires readGmonFile
+/// (the mmap path) to match the reference reader on it in both modes.
+void expectFileReadsAgreeAtEveryCut(const std::vector<uint8_t> &Full,
+                                    const std::string &Path) {
   for (size_t Cut = 0; Cut <= Full.size(); ++Cut) {
     std::vector<uint8_t> Bytes(Full.begin(), Full.begin() + Cut);
     ASSERT_FALSE(static_cast<bool>(writeFileBytes(Path, Bytes)));
@@ -340,6 +345,14 @@ TEST_F(ReadPathCorpusTest, MmapFileReadMatchesReferenceAtEveryCut) {
   }
 }
 
+} // namespace
+
+TEST_F(ReadPathCorpusTest, MmapFileReadMatchesReferenceAtEveryCut) {
+  TempDir Dir("corpus_file");
+  expectFileReadsAgreeAtEveryCut(writeGmonDense(makeRefData()),
+                                 Dir.Path + "/cut.gmon");
+}
+
 TEST_F(ReadPathCorpusTest, MmapCountersAdvanceOnFileReads) {
   TempDir Dir("corpus_counters");
   std::string Path = Dir.Path + "/p.gmon";
@@ -352,6 +365,197 @@ TEST_F(ReadPathCorpusTest, MmapCountersAdvanceOnFileReads) {
   EXPECT_EQ(telemetry::counter("gmon.mmap.files").value(), Files0 + 2);
   EXPECT_EQ(telemetry::counter("gmon.mmap.bytes").value(),
             Bytes0 + 2 * Size);
+}
+
+//===----------------------------------------------------------------------===//
+// Differential corpus over version 3: sparse histograms
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// The v3 corpus: the reference profile with and without a context tree,
+/// then the edge histograms (tests/gmon_edge_profiles.h).
+std::vector<std::pair<std::string, ProfileData>> sparseCorpus() {
+  std::vector<std::pair<std::string, ProfileData>> Corpus = {
+      {"reference", makeRefData()},
+      {"reference with contexts", makeRefDataWithContexts()}};
+  for (auto &Entry : gmonEdgeProfiles())
+    Corpus.push_back(std::move(Entry));
+  return Corpus;
+}
+
+/// A version-3 file over 16 size-1 buckets, built by hand so the pair
+/// bytes can break the canonical rules: \p NonZero, the list's byte
+/// length (\p ListBytes, or the size of \p Pairs when it is 0), the raw
+/// \p Pairs, then an empty arc table and section list.
+std::vector<uint8_t> handBuiltSparse(uint64_t NonZero,
+                                     const std::vector<uint8_t> &Pairs,
+                                     uint64_t NumBuckets = 16,
+                                     uint64_t ListBytes = 0) {
+  BinaryWriter W;
+  W.writeBytes(reinterpret_cast<const uint8_t *>("GMON"), 4);
+  W.writeU32(3);
+  W.writeU64(60); // hz
+  W.writeU32(1);  // runs
+  W.writeU8(0);   // flags
+  W.writeU64(0);  // lowpc
+  W.writeU64(NumBuckets);
+  W.writeU64(1); // bucketsize
+  W.writeU64(NumBuckets);
+  W.writeU64(NonZero);
+  W.writeU64(ListBytes != 0 ? ListBytes : Pairs.size());
+  W.writeBytes(Pairs.data(), Pairs.size());
+  W.writeU64(0); // narcs
+  W.writeU32(0); // nsections
+  return W.takeBytes();
+}
+
+} // namespace
+
+TEST_F(ReadPathCorpusTest, SparseFilesRoundTripBitIdentically) {
+  for (const auto &[Name, Data] : sparseCorpus()) {
+    std::vector<uint8_t> Bytes = writeGmon(Data);
+    ASSERT_EQ(Bytes[4], 3) << Name;
+    expectReadersAgree(Bytes, false, Name + " intact strict");
+    expectReadersAgree(Bytes, true, Name + " intact tolerant");
+    // The sparse file decodes to the same dense histogram the v1 file
+    // does, and re-serializes to itself.
+    ProfileData Back = cantFail(readGmon(Bytes));
+    EXPECT_EQ(Back.Hist.counts(), Data.Hist.counts()) << Name;
+    EXPECT_EQ(writeGmon(Back), Bytes) << Name;
+    EXPECT_EQ(writeGmonDense(Back), writeGmonDense(Data)) << Name;
+  }
+}
+
+TEST_F(ReadPathCorpusTest, SparseTruncationEveryCutPointMatchesReference) {
+  for (const auto &[Name, Data] : sparseCorpus()) {
+    const std::vector<uint8_t> Full = writeGmon(Data);
+    for (size_t Cut = 0; Cut <= Full.size(); ++Cut) {
+      std::vector<uint8_t> Bytes(Full.begin(), Full.begin() + Cut);
+      expectReadersAgree(Bytes, false,
+                         Name + " strict cut at " + std::to_string(Cut));
+      expectReadersAgree(Bytes, true,
+                         Name + " tolerant cut at " + std::to_string(Cut));
+    }
+  }
+}
+
+TEST_F(ReadPathCorpusTest, SparseEveryByteMutationMatchesReference) {
+  for (const auto &[Name, Data] : sparseCorpus()) {
+    const std::vector<uint8_t> Full = writeGmon(Data);
+    for (size_t I = 0; I != Full.size(); ++I)
+      for (uint8_t Flip : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+        std::vector<uint8_t> Bytes = Full;
+        Bytes[I] ^= Flip;
+        const std::string At =
+            " flip " + std::to_string(Flip) + " at " + std::to_string(I);
+        expectReadersAgree(Bytes, false, Name + " strict" + At);
+        expectReadersAgree(Bytes, true, Name + " tolerant" + At);
+      }
+  }
+}
+
+TEST_F(ReadPathCorpusTest, SparseTrailingJunkMatchesReference) {
+  std::vector<uint8_t> Bytes = writeGmon(makeRefData());
+  Bytes.insert(Bytes.end(), {0xDE, 0xAD, 0xBE, 0xEF});
+  expectReadersAgree(Bytes, false, "v3 strict trailing");
+  expectReadersAgree(Bytes, true, "v3 tolerant trailing");
+}
+
+TEST_F(ReadPathCorpusTest, SparseMmapFileReadMatchesReferenceAtEveryCut) {
+  TempDir Dir("corpus_file_v3");
+  expectFileReadsAgreeAtEveryCut(writeGmon(makeRefDataWithContexts()),
+                                 Dir.Path + "/cut.gmon");
+}
+
+TEST_F(ReadPathCorpusTest, SparseNonCanonicalRejectedByBothReaders) {
+  // Each file breaks one canonical rule of the pair list.  Both readers
+  // reject it in both modes, with the same message.
+  struct Case {
+    const char *What;
+    std::vector<uint8_t> Bytes;
+    const char *Message;
+  };
+  const uint8_t C = 0x80; // Continuation bit.
+  const Case Cases[] = {
+      {"zero count", handBuiltSparse(1, {0, 0}), "pair 0 has a zero count"},
+      {"overlong gap", handBuiltSparse(1, {C, 0, 5}),
+       "varint at offset 69 is overlong"},
+      {"overlong count", handBuiltSparse(1, {0, C | 5, 0}),
+       "varint at offset 70 is overlong"},
+      {"eleven-byte count",
+       handBuiltSparse(1, {0, C | 1, C, C, C, C, C, C, C, C, C, 1}),
+       "varint at offset 70 is wider than 64 bits"},
+      {"tenth byte past bit 63",
+       handBuiltSparse(1, {0, C | 1, C, C, C, C, C, C, C, C, 2}),
+       "varint at offset 70 is wider than 64 bits"},
+      {"index at nbuckets", handBuiltSparse(1, {16, 1}),
+       "pair 0 names a bucket past 16"},
+      {"gaps run past nbuckets", handBuiltSparse(2, {10, 1, 5, 1}),
+       "pair 1 names a bucket past 16"},
+      {"more pairs than buckets",
+       handBuiltSparse(17, std::vector<uint8_t>(34, 1)),
+       "records 17 nonzero buckets of 16"},
+      {"pairs without a histogram", handBuiltSparse(1, {0, 1}, 0),
+       "records 1 nonzero buckets of 0"},
+      {"list too short for its pairs", handBuiltSparse(3, {0, 1, 0, 1}),
+       "pair list of 4 bytes cannot hold 3 pairs"},
+      {"list too long for its pairs",
+       handBuiltSparse(1, std::vector<uint8_t>(21, 1)),
+       "pair list of 21 bytes cannot hold 1 pairs"},
+      {"pairs overrun the list", handBuiltSparse(2, {0, C | 1, 1, 0, 1}, 16, 4),
+       "pair list does not end at its 4 bytes"},
+      {"list outlasts its pairs", handBuiltSparse(1, {0, 1, 0}),
+       "pair list does not end at its 3 bytes"},
+      {"nbuckets past the cap", handBuiltSparse(0, {}, (1ULL << 23) + 1),
+       "implausibly large (8388609 buckets)"},
+  };
+  for (const Case &K : Cases) {
+    for (bool Tolerant : {false, true}) {
+      GmonReadOptions Opts;
+      Opts.Tolerant = Tolerant;
+      auto Back = readGmon(K.Bytes.data(), K.Bytes.size(), Opts);
+      ASSERT_FALSE(static_cast<bool>(Back)) << K.What;
+      EXPECT_NE(Back.message().find(K.Message), std::string::npos)
+          << K.What << ": " << Back.message();
+      (void)Back.takeError();
+      expectReadersAgree(K.Bytes, Tolerant, K.What);
+    }
+  }
+
+  // A list that claims more bytes than the file holds: a lie in strict
+  // mode.  A tolerant read takes it for a cut, but both pairs decode
+  // before the end of the file, so the list ends short of its length and
+  // is rejected too.
+  std::vector<uint8_t> Long = handBuiltSparse(2, {0, 1, 0, 1}, 16, 40);
+  ASSERT_LT(Long.size(), 69u + 40);
+  auto Strict = readGmon(Long);
+  ASSERT_FALSE(static_cast<bool>(Strict));
+  EXPECT_NE(Strict.message().find("longer than the file"), std::string::npos)
+      << Strict.message();
+  (void)Strict.takeError();
+  GmonReadOptions Tol;
+  Tol.Tolerant = true;
+  auto Tolerant = readGmon(Long.data(), Long.size(), Tol);
+  ASSERT_FALSE(static_cast<bool>(Tolerant));
+  EXPECT_NE(Tolerant.message().find("does not end at its 40 bytes"),
+            std::string::npos)
+      << Tolerant.message();
+  (void)Tolerant.takeError();
+  expectReadersAgree(Long, false, "long strict");
+  expectReadersAgree(Long, true, "long tolerant");
+
+  // The widest canonical counts decode: 2^63 and UINT64_MAX in ten bytes.
+  std::vector<uint8_t> Pairs = {0, C, C, C, C, C, C, C, C, C, 1}; // 2^63
+  Pairs.push_back(0);
+  Pairs.insert(Pairs.end(), 9, C | 0x7F);
+  Pairs.push_back(1); // UINT64_MAX
+  std::vector<uint8_t> Wide = handBuiltSparse(2, Pairs);
+  ProfileData Back = cantFail(readGmon(Wide));
+  EXPECT_EQ(Back.Hist.bucketCount(0), 1ULL << 63);
+  EXPECT_EQ(Back.Hist.bucketCount(1), UINT64_MAX);
+  EXPECT_EQ(writeGmon(Back), Wide);
+  expectReadersAgree(Wide, false, "wide strict");
 }
 
 //===----------------------------------------------------------------------===//

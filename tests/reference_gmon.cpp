@@ -20,16 +20,91 @@ namespace {
 // rather than shared with the production reader, so a wrong constant
 // there cannot hide by being wrong here too.
 constexpr char Magic[4] = {'G', 'M', 'O', 'N'};
-constexpr uint32_t Version = 1;
+constexpr uint32_t VersionDense = 1;
 constexpr uint32_t VersionContexts = 2;
+constexpr uint32_t VersionSparse = 3;
 /// "CCTR" as a little-endian u32.
 constexpr uint32_t SectionTagContexts = 0x52544343;
 /// parent u32 + frompc u64 + selfpc u64 + calls u64 + ticks u64.
 constexpr uint64_t CctNodeBytes = 36;
 constexpr uint64_t MaxRecords = (1ULL << 30) / 8;
+/// A histogram of 2^23 buckets is 64 MiB in memory.
+constexpr uint64_t MaxBuckets = 1ULL << 23;
 constexpr uint32_t MaxSections = 64;
 
+/// Reads one canonical unsigned LEB128 varint a byte at a time from the
+/// pair list \p L, whose first byte sits at file offset \p Base: at most
+/// ten bytes, the tenth holding only bit 63, and no trailing zero group.
+/// Running out of the list's bytes sets \p Torn.
+Error readVarint(BinaryReader &L, size_t Base, uint64_t &V, bool &Torn) {
+  const size_t At = Base + L.position();
+  V = 0;
+  for (unsigned I = 0; I != 10; ++I) {
+    if (L.atEnd()) {
+      Torn = true;
+      return Error::success();
+    }
+    auto B = L.readU8();
+    if (!B)
+      return B.takeError();
+    if (I == 9 && *B > 1)
+      return Error::failure(format(
+          "gmon histogram varint at offset %zu is wider than 64 bits", At));
+    V |= static_cast<uint64_t>(*B & 0x7F) << (7 * I);
+    if ((*B & 0x80) == 0) {
+      if (I != 0 && *B == 0)
+        return Error::failure(
+            format("gmon histogram varint at offset %zu is overlong", At));
+      return Error::success();
+    }
+  }
+  return Error::failure("unreachable: a tenth varint byte always ends it");
+}
+
 } // namespace
+
+std::vector<uint8_t> gprof::writeGmonDense(const ProfileData &Data) {
+  const bool HasContexts = !Data.Contexts.empty();
+  BinaryWriter W;
+  W.writeBytes(reinterpret_cast<const uint8_t *>(Magic), sizeof(Magic));
+  W.writeU32(HasContexts ? VersionContexts : VersionDense);
+  W.writeU64(Data.TicksPerSecond);
+  W.writeU32(Data.RunCount);
+  uint8_t Flags = Data.ArcTableOverflowed ? 1 : 0;
+  if (HasContexts && Data.ContextTreeOverflowed)
+    Flags |= 2;
+  W.writeU8(Flags);
+
+  const Histogram &H = Data.Hist;
+  W.writeU64(H.lowPc());
+  W.writeU64(H.highPc());
+  W.writeU64(H.bucketSize());
+  W.writeU64(H.numBuckets());
+  for (size_t I = 0; I != H.numBuckets(); ++I)
+    W.writeU64(H.bucketCount(I));
+
+  W.writeU64(Data.Arcs.size());
+  for (const ArcRecord &R : Data.Arcs) {
+    W.writeU64(R.FromPc);
+    W.writeU64(R.SelfPc);
+    W.writeU64(R.Count);
+  }
+
+  if (HasContexts) {
+    W.writeU32(1); // extension section count
+    W.writeU32(SectionTagContexts);
+    W.writeU64(8 + Data.Contexts.size() * CctNodeBytes);
+    W.writeU64(Data.Contexts.size());
+    for (const CctNode &N : Data.Contexts) {
+      W.writeU32(N.Parent);
+      W.writeU64(N.FromPc);
+      W.writeU64(N.SelfPc);
+      W.writeU64(N.Calls);
+      W.writeU64(N.Ticks);
+    }
+  }
+  return W.takeBytes();
+}
 
 Expected<ProfileData>
 gprof::readGmonReference(const std::vector<uint8_t> &Bytes,
@@ -64,9 +139,10 @@ gprof::readGmonReference(const std::vector<uint8_t> &Bytes,
   auto Ver = R.readU32();
   if (!Ver)
     return Ver.takeError();
-  if (*Ver != Version && *Ver != VersionContexts)
-    return Error::failure(
-        format("unsupported gmon version %u (expected %u)", *Ver, Version));
+  if (*Ver != VersionDense && *Ver != VersionContexts &&
+      *Ver != VersionSparse)
+    return Error::failure(format(
+        "unsupported gmon version %u (expected 1, 2 or 3)", *Ver));
 
   ProfileData Data;
   auto Hz = R.readU64();
@@ -102,11 +178,12 @@ gprof::readGmonReference(const std::vector<uint8_t> &Bytes,
   auto NumBuckets = R.readU64();
   if (!NumBuckets)
     return NumBuckets.takeError();
-  if (*NumBuckets > MaxRecords)
+  if (*NumBuckets > MaxBuckets)
     return Error::failure(
         format("gmon histogram implausibly large (%llu buckets)",
                static_cast<unsigned long long>(*NumBuckets)));
-  if (!Opts.Tolerant && *NumBuckets * 8 > R.remaining())
+  const bool Sparse = *Ver == VersionSparse;
+  if (!Sparse && !Opts.Tolerant && *NumBuckets * 8 > R.remaining())
     return Error::failure("gmon histogram longer than the file");
 
   if (*NumBuckets != 0) {
@@ -120,7 +197,85 @@ gprof::readGmonReference(const std::vector<uint8_t> &Bytes,
                  "range implies %llu",
                  static_cast<unsigned long long>(*NumBuckets),
                  static_cast<unsigned long long>(Implied)));
-    Histogram H(*LowPc, *HighPc, *BucketSize);
+    Data.Hist = Histogram(*LowPc, *HighPc, *BucketSize);
+  }
+
+  if (Sparse) {
+    if (Opts.Tolerant && R.remaining() < 16) {
+      NoteDamage("histogram pair list header truncated");
+      return FinishSalvaged(std::move(Data));
+    }
+    auto NonZero = R.readU64();
+    if (!NonZero)
+      return NonZero.takeError();
+    if (*NonZero > *NumBuckets)
+      return Error::failure(
+          format("gmon histogram records %llu nonzero buckets of %llu",
+                 static_cast<unsigned long long>(*NonZero),
+                 static_cast<unsigned long long>(*NumBuckets)));
+    auto ListBytes = R.readU64();
+    if (!ListBytes)
+      return ListBytes.takeError();
+    // Each pair is two varints of one to ten bytes.
+    if (*ListBytes < *NonZero * 2 || *ListBytes > *NonZero * 20)
+      return Error::failure(
+          format("gmon histogram pair list of %llu bytes cannot hold %llu "
+                 "pairs",
+                 static_cast<unsigned long long>(*ListBytes),
+                 static_cast<unsigned long long>(*NonZero)));
+    const bool ListTorn = *ListBytes > R.remaining();
+    if (ListTorn && !Opts.Tolerant)
+      return Error::failure("gmon histogram longer than the file");
+    auto ListEndError = [&] {
+      return Error::failure(
+          format("gmon histogram pair list does not end at its %llu bytes",
+                 static_cast<unsigned long long>(*ListBytes)));
+    };
+    // The list, or what is left of it, read through a reader of its own.
+    const size_t ListStart = R.position();
+    auto List = R.readBytes(ListTorn ? R.remaining() : *ListBytes);
+    if (!List)
+      return List.takeError();
+    BinaryReader L(*List);
+    uint64_t Index = 0; // Index of the bucket the next gap counts from.
+    bool Torn = false;
+    while (S.SalvagedBuckets != *NonZero) {
+      uint64_t Gap = 0, Count = 0;
+      if (Error E = readVarint(L, ListStart, Gap, Torn))
+        return E;
+      if (Torn)
+        break;
+      if (Gap >= *NumBuckets || Index + Gap >= *NumBuckets)
+        return Error::failure(
+            format("gmon histogram pair %llu names a bucket past %llu",
+                   static_cast<unsigned long long>(S.SalvagedBuckets),
+                   static_cast<unsigned long long>(*NumBuckets)));
+      if (Error E = readVarint(L, ListStart, Count, Torn))
+        return E;
+      if (Torn)
+        break;
+      if (Count == 0)
+        return Error::failure(
+            format("gmon histogram pair %llu has a zero count",
+                   static_cast<unsigned long long>(S.SalvagedBuckets)));
+      Data.Hist.setBucketCount(static_cast<size_t>(Index + Gap), Count);
+      Index += Gap + 1;
+      ++S.SalvagedBuckets;
+    }
+    // Out of list bytes mid-pair is a cut only where the file ends; and
+    // once every pair is read, the list must be used up exactly.
+    if (Torn ? !ListTorn : L.position() != *ListBytes)
+      return ListEndError();
+    if (Torn)
+      NoteDamage(format("histogram truncated after %llu of %llu recorded "
+                        "buckets",
+                        static_cast<unsigned long long>(S.SalvagedBuckets),
+                        static_cast<unsigned long long>(*NonZero)));
+    S.DroppedBuckets = *NonZero - S.SalvagedBuckets;
+    if (S.DroppedBuckets != 0)
+      return FinishSalvaged(std::move(Data));
+  } else if (*NumBuckets != 0) {
+    Histogram &H = Data.Hist;
     for (size_t I = 0; I != H.numBuckets(); ++I) {
       if (Opts.Tolerant && R.remaining() < 8) {
         NoteDamage(format("histogram truncated after %zu of %zu buckets",
@@ -134,7 +289,6 @@ gprof::readGmonReference(const std::vector<uint8_t> &Bytes,
       ++S.SalvagedBuckets;
     }
     S.DroppedBuckets = H.numBuckets() - S.SalvagedBuckets;
-    Data.Hist = std::move(H);
     if (S.DroppedBuckets != 0)
       return FinishSalvaged(std::move(Data));
   }

@@ -814,6 +814,35 @@ TEST_F(ServeTest, SurvivesGarbageStreamsAndMidUploadDisconnect) {
   EXPECT_EQ(Stats->TempFiles, 2u);
 }
 
+TEST_F(ServeTest, RejectsAHugeDeclaredHistogramAtParse) {
+  // A version-3 payload stores only its nonzero buckets, so 81 bytes can
+  // declare a histogram of any size.  The daemon parses a PUT_SHARD
+  // before it checks the payload against the store, and the parse refuses
+  // more than 2^23 buckets (a 64 MiB dense histogram): a header declaring
+  // 2^24 is rejected there, before its 128 MiB histogram is allocated.
+  Daemon D("huge_hist");
+  ServeClient Client(D.SocketPath);
+  cantFail(Client.putShard(Shards->front(), *ImageId));
+
+  ProfileData Empty;
+  Empty.TicksPerSecond = 60;
+  Empty.Hist = Histogram(0, 16, 1);
+  std::vector<uint8_t> Huge = writeGmon(Empty);
+  ASSERT_EQ(Huge.size(), 81u);
+  // highpc@29 and nbuckets@45: 2^24 buckets of size 1.
+  for (size_t Offset : {size_t(29), size_t(45)})
+    for (unsigned I = 0; I != 8; ++I)
+      Huge[Offset + I] = static_cast<uint8_t>((1ULL << 24) >> (8 * I));
+  auto Push = Client.putShard(Huge, *ImageId);
+  ASSERT_FALSE(static_cast<bool>(Push));
+  EXPECT_NE(Push.message().find("uploaded shard rejected: gmon histogram "
+                                "implausibly large (16777216 buckets)"),
+            std::string::npos)
+      << Push.message();
+  (void)Push.takeError();
+  EXPECT_EQ(cantFail(Client.list()).size(), 1u);
+}
+
 TEST_F(ServeTest, UnreachableDaemonFailsCleanly) {
   ClientOptions FailFast;
   FailFast.Retries = 0;

@@ -12,6 +12,8 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "reference_gmon.h"
+
 #include "gmon/GmonFile.h"
 #include "store/MergeEngine.h"
 #include "store/ProfileStore.h"
@@ -940,6 +942,141 @@ TEST(CompactionTest, DamagedCacheEntryEvictedOnDetection) {
   auto Third = Store->merge({});
   ASSERT_TRUE(static_cast<bool>(Third));
   EXPECT_TRUE(Third->CacheHit);
+}
+
+TEST(CompactionTest, CacheEntryFailingItsDigestIsEvicted) {
+  // Damage that still parses: one count byte of a cache entry changes,
+  // so the entry is a valid profile with the wrong data.  The SHA-256
+  // stored after the gmon bytes catches it; the entry is evicted and
+  // recomputed like a torn one, never served.
+  TempStoreDir Dir("cache_digest");
+  auto Store = ProfileStore::open(Dir.Path);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  ProfileData Shard = makeShard(1);
+  Shard.Hist.setBucketCount(0, 5);
+  cantFail(Store->put(Shard));
+  auto First = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(First));
+  std::string Cached = Store->cachePath(First->Digest);
+  std::vector<uint8_t> Entry = cantFail(readFileBytes(Cached));
+  // Version 3 (docs/FORMATS.md): nnonzero at 53, the pair list's length
+  // at 61, then the first pair, (gap 0, count 5), at 69.  Count 5 -> 4 is
+  // still a canonical profile.
+  EXPECT_EQ(Entry[69], 0);
+  EXPECT_EQ(Entry[70], 5);
+  Entry[70] ^= 1;
+  cantFail(writeFileBytes(Cached, Entry));
+  auto Tampered =
+      readGmon(Entry.data(), Entry.size() - sizeof(Sha256Digest));
+  if (Tampered) {
+    EXPECT_EQ(Tampered->Hist.bucketCount(0), 4u);
+  } else {
+    ADD_FAILURE() << "the tampered entry should parse: "
+                  << Tampered.message();
+    (void)Tampered.takeError();
+  }
+
+  uint64_t EvictionsBefore =
+      telemetry::counter("store.merge.cache_evictions").value();
+  auto Again = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(Again));
+  EXPECT_FALSE(Again->CacheHit);
+  EXPECT_EQ(Again->Data.Hist.bucketCount(0), 5u);
+  EXPECT_EQ(writeGmon(Again->Data), writeGmon(First->Data));
+  EXPECT_EQ(telemetry::counter("store.merge.cache_evictions").value(),
+            EvictionsBefore + 1);
+  // The recompute rewrote a good entry, which the next query hits.
+  auto Third = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(Third));
+  EXPECT_TRUE(Third->CacheHit);
+  EXPECT_EQ(writeGmon(Third->Data), writeGmon(First->Data));
+}
+
+TEST(CompactionTest, MixedVersionObjectsReportLikeTheFlatMerge) {
+  // A store written before version 3 holds dense version-1 objects under
+  // the digests of those bytes.  They keep loading and verifying beside
+  // new version-3 puts, and the store reports byte-identically to the
+  // flat merge before and after a fold over mixed-version children.
+  TempStoreDir Dir("mixed_versions");
+  StoreOptions SO;
+  SO.CompactionFanout = 4;
+  const std::vector<ProfileData> Profiles = makeShards(8, 5000);
+  std::vector<ShardInfo> Shards;
+  std::vector<Sha256Digest> V1Digests;
+  {
+    auto Store = ProfileStore::open(Dir.Path, SO);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    // Odd capture times are version-3 puts.
+    for (size_t I = 1; I < Profiles.size(); I += 2)
+      cantFail(Store->put(Profiles[I], Sha256Digest{}, "profile", 100 + I));
+    Shards = Store->shards();
+    // Even ones are version-1 objects, as an older release stored them.
+    for (size_t I = 0; I < Profiles.size(); I += 2) {
+      const ProfileData &D = Profiles[I];
+      std::vector<uint8_t> V1 = writeGmonDense(D);
+      ShardInfo Info;
+      Info.Digest = Sha256::hash(V1);
+      Info.Hz = D.TicksPerSecond;
+      Info.LowPc = D.Hist.lowPc();
+      Info.HighPc = D.Hist.highPc();
+      Info.BucketSize = D.Hist.bucketSize();
+      Info.NumBuckets = D.Hist.numBuckets();
+      Info.NumArcs = D.Arcs.size();
+      Info.TotalSamples = D.Hist.totalSamples();
+      Info.Runs = D.RunCount;
+      Info.CaptureTimeNs = 100 + I;
+      std::string Path = Store->objectPath(Info.Digest);
+      cantFail(createDirectories(Path.substr(0, Path.rfind('/'))));
+      cantFail(writeFileBytes(Path, V1));
+      Shards.push_back(Info);
+      V1Digests.push_back(Info.Digest);
+    }
+  }
+  std::sort(Shards.begin(), Shards.end(),
+            [](const ShardInfo &A, const ShardInfo &B) {
+              return A.Digest < B.Digest;
+            });
+  cantFail(writeFileBytes(Dir.Path + "/index.bin",
+                          encodeIndex(3, Shards, {})));
+
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Store)) << Store.message();
+  ASSERT_EQ(Store->shards().size(), 8u);
+  for (const Sha256Digest &D : V1Digests) {
+    EXPECT_EQ(cantFail(readFileBytes(Store->objectPath(D)))[4], 1);
+    EXPECT_TRUE(static_cast<bool>(Store->loadShard(D)));
+  }
+
+  const std::vector<uint8_t> Flat =
+      writeGmon(cantFail(mergeProfiles(Profiles, nullptr)));
+  auto Before = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(Before));
+  EXPECT_EQ(Before->InputsMerged, 8u);
+  EXPECT_EQ(writeGmon(Before->Data), Flat);
+
+  // Capture order alternates versions, so each level-1 run folds two
+  // version-1 and two version-3 children.
+  cantFail(Store->compact().takeError());
+  ASSERT_EQ(Store->runs().size(), 2u);
+  for (const RunInfo &R : Store->runs()) {
+    unsigned Dense = 0;
+    for (const Sha256Digest &C : R.Children)
+      Dense += cantFail(readFileBytes(Store->objectPath(C)))[4] == 1;
+    EXPECT_EQ(Dense, 2u);
+    EXPECT_EQ(cantFail(readFileBytes(Store->runPath(R.Digest)))[4], 3);
+  }
+  cantFail(removeFile(Store->cachePath(Before->Digest)));
+  auto After = Store->merge({});
+  ASSERT_TRUE(static_cast<bool>(After));
+  EXPECT_EQ(After->RunsUsed, 2u);
+  EXPECT_EQ(writeGmon(After->Data), Flat);
+
+  // Dedup does not cross the version boundary: re-putting a profile
+  // stored as version 1 adds its version-3 bytes as a second shard.
+  auto Again = Store->put(Profiles[0], Sha256Digest{}, "profile", 200);
+  ASSERT_TRUE(static_cast<bool>(Again));
+  EXPECT_NE(*Again, V1Digests[0]);
+  EXPECT_EQ(Store->shards().size(), 9u);
 }
 
 TEST(CompactionTest, ThreadCountInvariantOnCompactedStore) {
