@@ -59,11 +59,11 @@ void ServeServer::maybeScheduleCompaction() {
   if (!Opts.BackgroundCompaction || Stop.load(std::memory_order_relaxed))
     return;
   // One drain at a time: a second pass would only queue behind the first
-  // on the ingest lock.  Check the flag before planning, so a push during
-  // a drain does not plan under the ingest lock for nothing: the drain
-  // re-plans after it clears the flag, and the ingest lock orders each
-  // put's insert before or after that re-plan.  exchange() makes the busy
-  // check race-free.
+  // on the ingest lock.  Check the flag before asking the store, so a
+  // push during a drain does not take the ingest lock for nothing: the
+  // drain re-checks after it clears the flag, and the ingest lock orders
+  // each put's insert before or after that re-check.  exchange() makes
+  // the busy check race-free.
   if (CompactionBusy.load(std::memory_order_acquire))
     return;
   if (!Store.compactionPending())

@@ -27,15 +27,158 @@ namespace {
 constexpr char IndexMagic[4] = {'G', 'P', 'S', 'I'};
 /// v1: flat shard records.  v2 appends a capture timestamp per shard and
 /// flat run manifests; v3 stores the runs as a merge tree, each with its
-/// children and content digest (docs/FORMATS.md).  v1 and v2 indexes
+/// children and content digest; v4 is the v3 layout plus the generation of
+/// the journal that continues it (docs/FORMATS.md).  v1 and v2 indexes
 /// still load with their shards and no runs — v2 runs carry no content
-/// digest to verify — and the next compaction rebuilds the tree.
-constexpr uint32_t IndexVersion = 3;
+/// digest to verify — and the next compaction rebuilds the tree.  v1-v3
+/// load as generation 0.
+constexpr uint32_t IndexVersion = 4;
 constexpr uint32_t IndexVersionV1 = 1;
 
 /// Cap on index record counts accepted from disk, guarding allocation
 /// against a corrupted length field.
 constexpr uint64_t MaxIndexRecords = 1ULL << 24;
+
+/// index.log: a 24-byte header (magic, version u32, generation u64, check)
+/// and then records of length u32, kind u8, the payload, and a check: the
+/// first 8 bytes of SHA-256 over everything before it in the header or
+/// record.  A payload is the index's own shard or v3 run record.
+constexpr char JournalMagic[4] = {'G', 'P', 'S', 'J'};
+constexpr uint32_t JournalVersion = 1;
+constexpr size_t CheckBytes = 8;
+constexpr size_t JournalHeaderBytes = 16 + CheckBytes;
+constexpr size_t RecordFraming = 5 + CheckBytes;
+constexpr uint8_t ShardRecord = 1;
+constexpr uint8_t RunRecord = 2;
+constexpr size_t ShardRecordBytes = 132;
+constexpr size_t RunRecordFixedBytes = 92; ///< Plus 32 per child.
+
+uint64_t loadLE(const uint8_t *P, unsigned Bytes) {
+  uint64_t V = 0;
+  for (unsigned I = 0; I != Bytes; ++I)
+    V |= uint64_t(P[I]) << (8 * I);
+  return V;
+}
+
+bool checkMatches(const uint8_t *Data, size_t Size, const uint8_t *Check) {
+  Sha256Digest Sum = Sha256::hash(Data, Size);
+  return std::equal(Check, Check + CheckBytes, Sum.begin());
+}
+
+void appendCheck(BinaryWriter &W, size_t From) {
+  const std::vector<uint8_t> &B = W.bytes();
+  Sha256Digest Sum = Sha256::hash(B.data() + From, B.size() - From);
+  W.writeBytes(Sum.data(), CheckBytes);
+}
+
+/// Bytes of the journal record at Data[0, Avail) if an intact one starts
+/// there, else 0.  The length must match the kind's layout before the
+/// check is hashed, which keeps the scan for a later intact record cheap.
+size_t intactRecordAt(const uint8_t *Data, size_t Avail) {
+  if (Avail < RecordFraming)
+    return 0;
+  const uint64_t Len = loadLE(Data, 4);
+  if (Len > Avail - RecordFraming)
+    return 0;
+  if (Data[4] == ShardRecord) {
+    if (Len != ShardRecordBytes)
+      return 0;
+  } else if (Data[4] != RunRecord || Len < RunRecordFixedBytes ||
+             (Len - RunRecordFixedBytes) % 32 != 0 ||
+             loadLE(Data + 5 + RunRecordFixedBytes - 8, 8) !=
+                 (Len - RunRecordFixedBytes) / 32) {
+    return 0;
+  }
+  if (!checkMatches(Data, 5 + Len, Data + 5 + Len))
+    return 0;
+  return static_cast<size_t>(RecordFraming + Len);
+}
+
+void writeShardRecord(BinaryWriter &W, const ShardInfo &Info) {
+  W.writeBytes(Info.Digest.data(), Info.Digest.size());
+  W.writeBytes(Info.ImageId.data(), Info.ImageId.size());
+  for (uint64_t Field : {Info.Hz, Info.LowPc, Info.HighPc, Info.BucketSize,
+                         Info.NumBuckets, Info.NumArcs, Info.TotalSamples})
+    W.writeU64(Field);
+  W.writeU32(Info.Runs);
+  W.writeU64(Info.CaptureTimeNs);
+}
+
+void writeRunRecord(BinaryWriter &W, const RunInfo &Run) {
+  W.writeBytes(Run.Digest.data(), Run.Digest.size());
+  W.writeBytes(Run.ContentDigest.data(), Run.ContentDigest.size());
+  W.writeU32(Run.Level);
+  W.writeU64(Run.MinTimeNs);
+  W.writeU64(Run.MaxTimeNs);
+  W.writeU64(Run.Children.size());
+  for (const Sha256Digest &D : Run.Children)
+    W.writeBytes(D.data(), D.size());
+}
+
+Error readDigest(BinaryReader &R, Sha256Digest &Out) {
+  auto Bytes = R.readBytes(32);
+  if (!Bytes)
+    return Bytes.takeError();
+  std::copy(Bytes->begin(), Bytes->end(), Out.begin());
+  return Error::success();
+}
+
+Error readU64Into(BinaryReader &R, uint64_t &Out) {
+  auto V = R.readU64();
+  if (!V)
+    return V.takeError();
+  Out = *V;
+  return Error::success();
+}
+
+/// One shard record of index version \p Ver (v1 has no capture time).
+Error readShardRecord(BinaryReader &R, uint32_t Ver, ShardInfo &Info) {
+  if (Error E = readDigest(R, Info.Digest))
+    return E;
+  if (Error E = readDigest(R, Info.ImageId))
+    return E;
+  for (uint64_t *Field : {&Info.Hz, &Info.LowPc, &Info.HighPc,
+                          &Info.BucketSize, &Info.NumBuckets, &Info.NumArcs,
+                          &Info.TotalSamples})
+    if (Error E = readU64Into(R, *Field))
+      return E;
+  auto Runs32 = R.readU32();
+  if (!Runs32)
+    return Runs32.takeError();
+  Info.Runs = *Runs32;
+  if (Ver >= 2)
+    return readU64Into(R, Info.CaptureTimeNs);
+  return Error::success();
+}
+
+/// One run record of index version \p Ver: v3 and later carry the content
+/// digest and children; v2's flat member list is read into Children for
+/// the caller to drop.
+Error readRunRecord(BinaryReader &R, uint32_t Ver, const std::string &Path,
+                    RunInfo &Run) {
+  if (Error E = readDigest(R, Run.Digest))
+    return E;
+  if (Ver >= 3)
+    if (Error E = readDigest(R, Run.ContentDigest))
+      return E;
+  auto Level = R.readU32();
+  if (!Level)
+    return Level.takeError();
+  Run.Level = *Level;
+  for (uint64_t *Field : {&Run.MinTimeNs, &Run.MaxTimeNs})
+    if (Error E = readU64Into(R, *Field))
+      return E;
+  auto Children = R.readU64();
+  if (!Children)
+    return Children.takeError();
+  if (*Children > MaxIndexRecords)
+    return Error::failure(Path + ": run child count implausibly large");
+  Run.Children.resize(static_cast<size_t>(*Children));
+  for (Sha256Digest &D : Run.Children)
+    if (Error E = readDigest(R, D))
+      return E;
+  return Error::success();
+}
 
 bool isZeroDigest(const Sha256Digest &D) {
   return std::all_of(D.begin(), D.end(), [](uint8_t B) { return B == 0; });
@@ -151,116 +294,139 @@ const RunInfo *ProfileStore::findRun(const Sha256Digest &Digest) const {
 
 Error ProfileStore::loadIndex() {
   std::string Path = Root + "/index.bin";
+  if (fileExists(Path)) {
+    // Parse straight out of the mapping; every record copies into Shards,
+    // so the view only needs to live for the duration of this block.
+    auto Map = MappedFile::open(Path);
+    if (!Map)
+      return Map.takeError();
+    BinaryReader R(Map->data(), Map->size());
+
+    auto Magic = R.readBytes(sizeof(IndexMagic));
+    if (!Magic)
+      return Magic.takeError();
+    if (!std::equal(Magic->begin(), Magic->end(), IndexMagic))
+      return Error::failure(Path + ": not a profile store index (bad magic)");
+    auto Ver = R.readU32();
+    if (!Ver)
+      return Ver.takeError();
+    if (*Ver < IndexVersionV1 || *Ver > IndexVersion)
+      return Error::failure(format("%s: unsupported index version %u "
+                                   "(expected %u)",
+                                   Path.c_str(), *Ver, IndexVersion));
+    if (*Ver >= 4)
+      if (Error E = readU64Into(R, Generation))
+        return E;
+    auto Count = R.readU64();
+    if (!Count)
+      return Count.takeError();
+    if (*Count > MaxIndexRecords)
+      return Error::failure(Path + ": index record count implausibly large");
+    Shards.reserve(static_cast<size_t>(*Count));
+    for (uint64_t I = 0; I != *Count; ++I) {
+      ShardInfo Info;
+      if (Error E = readShardRecord(R, *Ver, Info))
+        return E;
+      Shards.push_back(Info);
+    }
+    if (*Ver >= 2) {
+      auto RunCount = R.readU64();
+      if (!RunCount)
+        return RunCount.takeError();
+      if (*RunCount > MaxIndexRecords)
+        return Error::failure(Path + ": run manifest count implausibly large");
+      Runs.reserve(static_cast<size_t>(*RunCount));
+      for (uint64_t I = 0; I != *RunCount; ++I) {
+        RunInfo Run;
+        if (Error E = readRunRecord(R, *Ver, Path, Run))
+          return E;
+        if (*Ver >= 3)
+          Runs.push_back(std::move(Run));
+      }
+    }
+    if (!R.atEnd())
+      return Error::failure(format("%s: %zu trailing bytes after index data",
+                                   Path.c_str(), R.remaining()));
+    // An older index counts as no checkpoint, so the first append writes
+    // a v4 one, which binaries that predate the journal refuse to open.
+    IndexBytes = *Ver == IndexVersion ? Map->size() : 0;
+  }
+  if (Error E = replayJournal())
+    return E;
+  // Sort once, after every record is in.
+  std::sort(Shards.begin(), Shards.end(), digestLess);
+  for (size_t I = 1; I < Shards.size(); ++I)
+    if (Shards[I].Digest == Shards[I - 1].Digest)
+      return Error::failure(
+          format("%s: shard %s is indexed twice", Path.c_str(),
+                 digestToHex(Shards[I].Digest).substr(0, 12).c_str()));
+  if (Error E = checkRunTree(Path))
+    return E;
+  recountRoots();
+  return Error::success();
+}
+
+Error ProfileStore::replayJournal() {
+  const std::string Path = Root + "/index.log";
   if (!fileExists(Path))
-    return Error::success(); // Fresh store.
-  // Parse straight out of the mapping; every record copies into Shards,
-  // so the view only needs to live for the duration of this call.
+    return Error::success();
   auto Map = MappedFile::open(Path);
   if (!Map)
     return Map.takeError();
-  BinaryReader R(Map->data(), Map->size());
-
-  auto Magic = R.readBytes(sizeof(IndexMagic));
-  if (!Magic)
-    return Magic.takeError();
-  if (!std::equal(Magic->begin(), Magic->end(), IndexMagic))
-    return Error::failure(Path + ": not a profile store index (bad magic)");
-  auto Ver = R.readU32();
-  if (!Ver)
-    return Ver.takeError();
-  if (*Ver < IndexVersionV1 || *Ver > IndexVersion)
-    return Error::failure(format("%s: unsupported index version %u "
-                                 "(expected %u)",
-                                 Path.c_str(), *Ver, IndexVersion));
-  auto Count = R.readU64();
-  if (!Count)
-    return Count.takeError();
-  if (*Count > MaxIndexRecords)
-    return Error::failure(Path + ": index record count implausibly large");
-
-  auto ReadDigest = [&R](Sha256Digest &Out) -> Error {
-    auto Bytes = R.readBytes(32);
-    if (!Bytes)
-      return Bytes.takeError();
-    std::copy(Bytes->begin(), Bytes->end(), Out.begin());
+  const uint8_t *Data = Map->data();
+  const size_t Size = Map->size();
+  // Until records replay, every byte on disk is to be cut: a header cut
+  // short is a torn first append, which nobody was told had landed.
+  JournalNeedsCut = Size != 0;
+  if (Size < JournalHeaderBytes)
     return Error::success();
-  };
-
-  Shards.clear();
-  Shards.reserve(static_cast<size_t>(*Count));
-  for (uint64_t I = 0; I != *Count; ++I) {
-    ShardInfo Info;
-    if (Error E = ReadDigest(Info.Digest))
-      return E;
-    if (Error E = ReadDigest(Info.ImageId))
-      return E;
-    auto ReadField = [&R](uint64_t &Out) -> Error {
-      auto V = R.readU64();
-      if (!V)
-        return V.takeError();
-      Out = *V;
-      return Error::success();
-    };
-    for (uint64_t *Field : {&Info.Hz, &Info.LowPc, &Info.HighPc,
-                            &Info.BucketSize, &Info.NumBuckets, &Info.NumArcs,
-                            &Info.TotalSamples})
-      if (Error E = ReadField(*Field))
-        return E;
-    auto Runs32 = R.readU32();
-    if (!Runs32)
-      return Runs32.takeError();
-    Info.Runs = *Runs32;
-    if (*Ver >= 2) {
-      if (Error E = ReadField(Info.CaptureTimeNs))
-        return E;
-    }
-    Shards.push_back(Info);
+  if (!std::equal(Data, Data + 4, JournalMagic))
+    return Error::failure(Path + ": not a profile store journal (bad magic)");
+  if (!checkMatches(Data, 16, Data + 16))
+    return Error::failure(Path + ": journal header fails its check");
+  if (loadLE(Data + 4, 4) != JournalVersion)
+    return Error::failure(format("%s: unsupported journal version %u "
+                                 "(expected %u)",
+                                 Path.c_str(),
+                                 static_cast<unsigned>(loadLE(Data + 4, 4)),
+                                 JournalVersion));
+  // Another generation's journal predates the checkpoint (a crash between
+  // index.bin's rename and the journal's reset): index.bin already holds
+  // whatever it recorded, and whatever gc has since expired.
+  if (loadLE(Data + 8, 8) != Generation) {
+    StaleGeneration = loadLE(Data + 8, 8);
+    return Error::success();
   }
-  std::sort(Shards.begin(), Shards.end(), digestLess);
-
-  Runs.clear();
-  if (*Ver >= 2) {
-    auto RunCount = R.readU64();
-    if (!RunCount)
-      return RunCount.takeError();
-    if (*RunCount > MaxIndexRecords)
-      return Error::failure(Path + ": run manifest count implausibly large");
-    Runs.reserve(static_cast<size_t>(*RunCount));
-    for (uint64_t I = 0; I != *RunCount; ++I) {
+  size_t Off = JournalHeaderBytes;
+  while (Off != Size) {
+    const size_t Bytes = intactRecordAt(Data + Off, Size - Off);
+    if (Bytes == 0) {
+      // A torn last record was never acknowledged, and a failing one
+      // cannot be told from a tear: either is dropped.  Damage with an
+      // intact record after it is not a tear.
+      for (size_t Next = Off + 1; Next < Size; ++Next)
+        if (intactRecordAt(Data + Next, Size - Next))
+          return Error::failure(format("%s: damaged record at offset %zu",
+                                       Path.c_str(), Off));
+      break;
+    }
+    BinaryReader R(Data + Off + 5, Bytes - RecordFraming);
+    if (Data[Off + 4] == ShardRecord) {
+      ShardInfo Info;
+      if (Error E = readShardRecord(R, IndexVersion, Info))
+        return E;
+      Shards.push_back(Info);
+    } else {
       RunInfo Run;
-      if (Error E = ReadDigest(Run.Digest))
+      if (Error E = readRunRecord(R, IndexVersion, Path, Run))
         return E;
-      if (*Ver >= 3)
-        if (Error E = ReadDigest(Run.ContentDigest))
-          return E;
-      auto Level = R.readU32();
-      if (!Level)
-        return Level.takeError();
-      Run.Level = *Level;
-      for (uint64_t *Field : {&Run.MinTimeNs, &Run.MaxTimeNs}) {
-        auto V = R.readU64();
-        if (!V)
-          return V.takeError();
-        *Field = *V;
-      }
-      // v3: children; v2: the flat member list, read past and dropped.
-      auto Children = R.readU64();
-      if (!Children)
-        return Children.takeError();
-      if (*Children > MaxIndexRecords)
-        return Error::failure(Path + ": run child count implausibly large");
-      Run.Children.resize(static_cast<size_t>(*Children));
-      for (Sha256Digest &D : Run.Children)
-        if (Error E = ReadDigest(D))
-          return E;
-      if (*Ver >= 3)
-        Runs.push_back(std::move(Run));
+      Runs.push_back(std::move(Run));
     }
+    Off += Bytes;
   }
-  if (!R.atEnd())
-    return Error::failure(format("%s: %zu trailing bytes after index data",
-                                 Path.c_str(), R.remaining()));
-  return checkRunTree(Path);
+  JournalBytes = Off;
+  JournalNeedsCut = Off != Size;
+  return Error::success();
 }
 
 std::vector<Sha256Digest> ProfileStore::claimedChildren() const {
@@ -324,35 +490,113 @@ Error ProfileStore::checkRunTree(const std::string &Path) {
   return Error::success();
 }
 
-Error ProfileStore::saveIndex() const {
+void ProfileStore::recountRoots() {
+  const std::vector<Sha256Digest> Claimed = claimedChildren();
+  auto IsClaimed = [&Claimed](const Sha256Digest &D) {
+    return std::binary_search(Claimed.begin(), Claimed.end(), D);
+  };
+  UnclaimedShards = 0;
+  for (const ShardInfo &S : Shards)
+    UnclaimedShards += !IsClaimed(S.Digest);
+  RootRuns.clear();
+  for (const RunInfo &R : Runs) {
+    if (IsClaimed(R.Digest))
+      continue;
+    if (RootRuns.size() <= R.Level)
+      RootRuns.resize(R.Level + 1);
+    ++RootRuns[R.Level];
+  }
+}
+
+bool ProfileStore::foldDue() const {
+  const unsigned Fanout = std::max(2u, Options.CompactionFanout);
+  return UnclaimedShards >= Fanout ||
+         std::any_of(RootRuns.begin(), RootRuns.end(),
+                     [Fanout](uint64_t N) { return N >= Fanout; });
+}
+
+Error ProfileStore::appendRecord(uint8_t Kind,
+                                 const std::vector<uint8_t> &Payload) {
+  BinaryWriter W;
+  if (JournalBytes == 0) {
+    W.writeBytes(reinterpret_cast<const uint8_t *>(JournalMagic),
+                 sizeof(JournalMagic));
+    W.writeU32(JournalVersion);
+    W.writeU64(Generation);
+    appendCheck(W, 0);
+  }
+  const size_t Start = W.bytes().size();
+  W.writeU32(static_cast<uint32_t>(Payload.size()));
+  W.writeU8(Kind);
+  W.writeBytes(Payload.data(), Payload.size());
+  appendCheck(W, Start);
+
+  const std::string Path = Root + "/index.log";
+  if (Error E = retryIo([&]() -> Error {
+        if (!WriteRefusal.empty())
+          return Error::failure(WriteRefusal);
+        if (!Journal.isOpen()) {
+          auto F = AppendFile::open(Path);
+          if (!F)
+            return F.takeError();
+          Journal = F.takeValue();
+        }
+        if (JournalNeedsCut) {
+          if (Error Cut = Journal.truncate(JournalBytes))
+            return Cut;
+          JournalNeedsCut = false;
+        }
+        Error E = Journal.writeAt(JournalBytes, W.bytes());
+        // Cut a torn append back off, so the next one lands after the
+        // last whole record.
+        if (E.isFailure())
+          if (Error Cut = Journal.truncate(JournalBytes))
+            WriteRefusal = format("%s: an append failed and could not be "
+                                  "cut back (%s); reopen the store",
+                                  Path.c_str(), Cut.message().c_str());
+        return E;
+      }))
+    return E;
+  JournalBytes += W.bytes().size();
+  telemetry::gauge("store.index.journal_records").add(1);
+  return Error::success();
+}
+
+Error ProfileStore::checkpoint() {
+  if (!WriteRefusal.empty())
+    return Error::failure(WriteRefusal);
   BinaryWriter W;
   W.writeBytes(reinterpret_cast<const uint8_t *>(IndexMagic),
                sizeof(IndexMagic));
+  const uint64_t Next = std::max(Generation, StaleGeneration) + 1;
   W.writeU32(IndexVersion);
+  W.writeU64(Next);
   W.writeU64(Shards.size());
-  for (const ShardInfo &Info : Shards) {
-    W.writeBytes(Info.Digest.data(), Info.Digest.size());
-    W.writeBytes(Info.ImageId.data(), Info.ImageId.size());
-    for (uint64_t Field : {Info.Hz, Info.LowPc, Info.HighPc, Info.BucketSize,
-                           Info.NumBuckets, Info.NumArcs, Info.TotalSamples})
-      W.writeU64(Field);
-    W.writeU32(Info.Runs);
-    W.writeU64(Info.CaptureTimeNs);
-  }
+  for (const ShardInfo &Info : Shards)
+    writeShardRecord(W, Info);
   W.writeU64(Runs.size());
-  for (const RunInfo &Run : Runs) {
-    W.writeBytes(Run.Digest.data(), Run.Digest.size());
-    W.writeBytes(Run.ContentDigest.data(), Run.ContentDigest.size());
-    W.writeU32(Run.Level);
-    W.writeU64(Run.MinTimeNs);
-    W.writeU64(Run.MaxTimeNs);
-    W.writeU64(Run.Children.size());
-    for (const Sha256Digest &D : Run.Children)
-      W.writeBytes(D.data(), D.size());
-  }
+  for (const RunInfo &Run : Runs)
+    writeRunRecord(W, Run);
   // Write-then-rename so a crash mid-save never leaves a torn index.
-  return retryIo(
-      [&] { return writeFileBytesAtomic(Root + "/index.bin", W.bytes()); });
+  if (Error E = retryIo(
+          [&] { return writeFileBytesAtomic(Root + "/index.bin", W.bytes()); }))
+    return E;
+  Generation = Next;
+  IndexBytes = W.bytes().size();
+  telemetry::gauge("store.index.checkpoints").add(1);
+  // The journal's records are all in index.bin now, under an older
+  // generation that open ignores; empty it, or cut it before the next
+  // append if that fails or it is not open yet.
+  JournalBytes = 0;
+  JournalNeedsCut = !Journal.isOpen() || static_cast<bool>(Journal.truncate(0));
+  return Error::success();
+}
+
+void ProfileStore::checkpointIfDue() {
+  if (JournalBytes <= IndexBytes)
+    return;
+  if (Error E = checkpoint())
+    telemetry::gauge("store.index.checkpoint_failures").add(1);
 }
 
 Error ProfileStore::retryIo(const std::function<Error()> &Op) const {
@@ -427,32 +671,52 @@ Expected<Sha256Digest> ProfileStore::put(ProfileData Data,
   telemetry::ScopedDuration Timer(Latency);
   if (Error E = fault::check("store.put", Label))
     return E;
+  // Canonicalize, serialize and hash before any lock: concurrent puts
+  // overlap everything but their checks and their commit.
   canonicalizeProfile(Data);
-  // Single-writer section: compatibility check, dedup lookup, object
-  // write, index insert, and the index.bin write-then-rename must not
-  // interleave with another thread's put — two racing rewrites would each
-  // persist an index missing the other's shard.
-  std::lock_guard<std::mutex> Lock(*IngestMutex);
-  if (Error E = checkCompatibleWithStore(Data, ImageId, Label))
-    return E;
-
   std::vector<uint8_t> Bytes = writeGmon(Data);
-  Sha256Digest Digest = Sha256::hash(Bytes);
-  if (const ShardInfo *Existing = findShard(Digest)) {
+  const Sha256Digest Digest = Sha256::hash(Bytes);
+
+  // Under the ingest lock, before the object write and again before the
+  // commit: between the two, another put may have stored this shard, or
+  // pinned the store to a rate, geometry or image this one lacks.
+  auto Admit = [&]() -> Expected<bool> {
+    if (!WriteRefusal.empty())
+      return Error::failure(WriteRefusal);
+    if (Error E = checkCompatibleWithStore(Data, ImageId, Label))
+      return E;
+    if (!findShard(Digest))
+      return false;
     telemetry::counter("store.put.dedup_hits").add(1);
-    return Existing->Digest; // Content-addressed: already ingested.
+    return true; // Content-addressed: already ingested.
+  };
+  {
+    std::lock_guard<std::mutex> Lock(*IngestMutex);
+    auto Stored = Admit();
+    if (!Stored)
+      return Stored.takeError();
+    if (*Stored)
+      return Digest;
   }
 
+  // The object is written outside the ingest lock, under the shared write
+  // gate held through the commit, so gc cannot sweep it, or its
+  // temporary, before the index names it.  Atomic: a crash (or injected
+  // fault) mid-ingest never leaves a torn object under a
+  // content-addressed name.
+  std::shared_lock<std::shared_mutex> Gate(*WriteGate);
   std::string Path = objectPath(Digest);
   if (Error E = createDirectories(Path.substr(0, Path.rfind('/'))))
     return E;
-  // Atomic: a crash (or injected fault) mid-ingest must never leave a torn
-  // object under a content-addressed name.
   if (Error E = retryIo([&] { return writeFileBytesAtomic(Path, Bytes); }))
     return E;
-  telemetry::counter("store.put.ingested").add(1);
-  telemetry::counter("store.put.bytes_written").add(Bytes.size());
 
+  std::lock_guard<std::mutex> Lock(*IngestMutex);
+  auto Stored = Admit();
+  if (!Stored)
+    return Stored.takeError();
+  if (*Stored)
+    return Digest;
   ShardInfo Info;
   Info.Digest = Digest;
   Info.ImageId = ImageId;
@@ -465,10 +729,16 @@ Expected<Sha256Digest> ProfileStore::put(ProfileData Data,
   Info.TotalSamples = Data.Hist.totalSamples();
   Info.Runs = Data.RunCount;
   Info.CaptureTimeNs = CaptureTimeNs != 0 ? CaptureTimeNs : wallClockNs();
+  BinaryWriter Record;
+  writeShardRecord(Record, Info);
+  if (Error E = appendRecord(ShardRecord, Record.bytes()))
+    return E;
   Shards.insert(
       std::upper_bound(Shards.begin(), Shards.end(), Info, digestLess), Info);
-  if (Error E = saveIndex())
-    return E;
+  ++UnclaimedShards;
+  telemetry::counter("store.put.ingested").add(1);
+  telemetry::counter("store.put.bytes_written").add(Bytes.size());
+  checkpointIfDue();
   return Digest;
 }
 
@@ -710,7 +980,9 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
   Result.Data = Merged.takeValue();
   std::vector<uint8_t> CacheBytes = encodeCacheEntry(Result.Data);
   // Atomic: readers race with cache population, and a torn cache entry
-  // under the aggregate key would be served as a (corrupt) hit.
+  // under the aggregate key would be served as a (corrupt) hit.  The
+  // shared write gate keeps a concurrent gc off its temporary.
+  std::shared_lock<std::shared_mutex> Gate(*WriteGate);
   if (Error E =
           retryIo([&] { return writeFileBytesAtomic(Cached, CacheBytes); }))
     return E;
@@ -751,6 +1023,7 @@ bool ProfileStore::planCompaction(CompactionPlan &Plan) const {
       Plan.MaxTimeNs = std::max(Plan.MaxTimeNs, S->CaptureTimeNs);
     }
     std::sort(Plan.Members.begin(), Plan.Members.end());
+    Plan.Epoch = TreeEpoch;
     return true;
   }
 
@@ -784,6 +1057,7 @@ bool ProfileStore::planCompaction(CompactionPlan &Plan) const {
       Plan.MaxTimeNs = std::max(Plan.MaxTimeNs, R->MaxTimeNs);
     }
     std::sort(Plan.Members.begin(), Plan.Members.end());
+    Plan.Epoch = TreeEpoch;
     return true;
   }
   return false;
@@ -791,8 +1065,7 @@ bool ProfileStore::planCompaction(CompactionPlan &Plan) const {
 
 bool ProfileStore::compactionPending() const {
   std::lock_guard<std::mutex> Lock(*IngestMutex);
-  CompactionPlan Plan;
-  return planCompaction(Plan);
+  return foldDue();
 }
 
 Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
@@ -806,7 +1079,7 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
   CompactionPlan Plan;
   {
     std::lock_guard<std::mutex> Lock(*IngestMutex);
-    if (!planCompaction(Plan))
+    if (!foldDue() || !planCompaction(Plan))
       return false;
   }
 
@@ -851,33 +1124,39 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
   std::sort(NewRun.Children.begin(), NewRun.Children.end());
   NewRun.Members = std::move(Plan.Members);
 
-  std::lock_guard<std::mutex> Lock(*IngestMutex);
-  // Re-validate under the lock: gc expiry may have retired a source, or
-  // another fold claimed one, while this fold ran.  A stale plan is
-  // dropped — returning true sends the caller's loop back to planning
-  // against the new state.
-  const std::vector<Sha256Digest> Claimed = claimedChildren();
-  for (const Sha256Digest &D : NewRun.Children)
-    if (std::binary_search(Claimed.begin(), Claimed.end(), D) ||
-        (NewRun.Level == 1 ? !findShard(D) : !findRun(D)))
-      return true;
-
-  // Commit order: run file first (atomic), then the index rewrite.  A
-  // failure between the two strands an orphan run file gc() sweeps —
-  // never an index naming a missing run.
+  // The run file commits before the ingest lock, under the shared write
+  // gate that gc waits on, so no sweep takes it before its record lands.
+  std::shared_lock<std::shared_mutex> Gate(*WriteGate);
   if (Error E = retryIo([&] {
         return writeFileBytesAtomic(runPath(NewRun.Digest), Bytes);
       }))
     return E;
-  auto Slot =
-      std::upper_bound(Runs.begin(), Runs.end(), NewRun, runDigestLess);
-  Slot = Runs.insert(Slot, NewRun);
-  if (Error E = saveIndex()) {
-    // Disk kept the old index; restore the in-memory view to match.  The
-    // already-committed run file is unreferenced residue for gc().
-    Runs.erase(Slot);
+  std::lock_guard<std::mutex> Lock(*IngestMutex);
+  // A fold or expiry committed since planning may have claimed or retired
+  // a source.  Drop the plan — its run file is residue for gc, or the
+  // same bytes another fold committed — and send the caller's loop back
+  // to planning against the new state.
+  if (Plan.Epoch != TreeEpoch)
+    return true;
+  // Commit order: run file first, then its journal record.  A failure
+  // between the two strands an orphan run file gc() sweeps — never an
+  // index naming a missing run.
+  BinaryWriter Record;
+  writeRunRecord(Record, NewRun);
+  if (Error E = appendRecord(RunRecord, Record.bytes()))
     return E;
-  }
+  Runs.insert(std::upper_bound(Runs.begin(), Runs.end(), NewRun,
+                               runDigestLess),
+              NewRun);
+  if (NewRun.Level == 1)
+    UnclaimedShards -= Plan.SourceShards.size();
+  else
+    RootRuns[NewRun.Level - 1] -= Plan.SourceRuns.size();
+  if (RootRuns.size() <= NewRun.Level)
+    RootRuns.resize(NewRun.Level + 1);
+  ++RootRuns[NewRun.Level];
+  ++TreeEpoch;
+  checkpointIfDue();
 
   if (Stats) {
     ++Stats->Steps;
@@ -929,8 +1208,11 @@ Expected<GcStats> ProfileStore::gc() { return gc(GcOptions{}); }
 Expected<GcStats> ProfileStore::gc(const GcOptions &GcOpts) {
   if (Error E = fault::check("store.gc", Root))
     return E;
-  // Sweeps consult the index (findShard) and delete files concurrent
-  // put() may be about to name; hold the ingest lock for the whole sweep.
+  // Sweeps delete the files the index does not name.  The write gate,
+  // exclusive, waits out in-flight puts and folds — each holds it shared
+  // from its file write to its commit — and the ingest lock freezes the
+  // index for the whole sweep.
+  std::unique_lock<std::shared_mutex> Gate(*WriteGate);
   std::lock_guard<std::mutex> Lock(*IngestMutex);
   GcStats Stats;
 
@@ -945,38 +1227,47 @@ Expected<GcStats> ProfileStore::gc(const GcOptions &GcOpts) {
         Expired.push_back(S.Digest);
     if (!Expired.empty()) {
       std::sort(Expired.begin(), Expired.end());
-      size_t RunsBefore = Runs.size();
+      auto IsExpired = [&Expired](const Sha256Digest &D) {
+        return std::binary_search(Expired.begin(), Expired.end(), D);
+      };
       // A run over any expired member is retired whole — its level-1 run
       // and every ancestor, whose aggregates would keep counting samples
       // the retention policy says are gone.  Their other children stay
       // as roots for the next compaction to refold.
-      Runs.erase(std::remove_if(Runs.begin(), Runs.end(),
-                                [&](const RunInfo &R) {
-                                  for (const Sha256Digest &D : R.Members)
-                                    if (std::binary_search(Expired.begin(),
-                                                           Expired.end(), D))
-                                      return true;
-                                  return false;
-                                }),
-                 Runs.end());
-      Stats.RetiredRuns = static_cast<unsigned>(RunsBefore - Runs.size());
-      Shards.erase(std::remove_if(Shards.begin(), Shards.end(),
-                                  [&](const ShardInfo &S) {
-                                    return std::binary_search(Expired.begin(),
-                                                              Expired.end(),
-                                                              S.Digest);
-                                  }),
-                   Shards.end());
+      std::vector<ShardInfo> KeptShards;
+      for (const ShardInfo &S : Shards)
+        if (!IsExpired(S.Digest))
+          KeptShards.push_back(S);
+      std::vector<RunInfo> KeptRuns;
+      for (const RunInfo &R : Runs)
+        if (std::none_of(R.Members.begin(), R.Members.end(), IsExpired))
+          KeptRuns.push_back(R);
+      Stats.RetiredRuns = static_cast<unsigned>(Runs.size() - KeptRuns.size());
       Stats.ExpiredShards = static_cast<unsigned>(Expired.size());
-      if (Error E = saveIndex())
+      // Journal records only add, so a removal commits as a checkpoint;
+      // if it fails, memory goes back to what disk still says.
+      std::swap(Shards, KeptShards);
+      std::swap(Runs, KeptRuns);
+      if (Error E = checkpoint()) {
+        std::swap(Shards, KeptShards);
+        std::swap(Runs, KeptRuns);
         return E;
+      }
+      recountRoots();
+      ++TreeEpoch;
     }
   }
 
   // Stale .tmp files are the residue of writes interrupted before their
-  // rename; atomic writers leave them only on a crash or injected fault.
-  if (fileExists(Root + "/index.bin.tmp")) {
-    if (Error E = removeFile(Root + "/index.bin.tmp"))
+  // rename; atomic writers leave them only on a crash or injected fault,
+  // and every writer of a path names its own.
+  auto RootEntries = listDirectory(Root);
+  if (!RootEntries)
+    return RootEntries.takeError();
+  for (const std::string &Name : *RootEntries) {
+    if (!hasTmpSuffix(Name))
+      continue;
+    if (Error E = removeFile(Root + "/" + Name))
       return E;
     ++Stats.TempFiles;
   }

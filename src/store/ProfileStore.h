@@ -11,7 +11,9 @@
 /// thousands of gmon files around and aggregating subsets of them on
 /// demand.  Layout under the store root:
 ///
-///   index.bin                    versioned binary index of shards and runs
+///   index.bin                    checkpoint of the index of shards and runs
+///   index.log                    journal: one record per put and per fold
+///                                since the checkpoint (docs/FORMATS.md)
 ///   objects/<hh>/<digest>.gmon   canonical shard bytes, content-addressed
 ///   runs/<digest>.gmon           compacted partial merges (merge-tree runs)
 ///   cache/<digest>.gmon          merged aggregates, keyed by member set,
@@ -51,12 +53,14 @@
 
 #include "gmon/ProfileData.h"
 #include "support/Error.h"
+#include "support/FileUtils.h"
 #include "support/Sha256.h"
 #include "support/ThreadPool.h"
 
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -186,9 +190,10 @@ public:
   std::vector<RunInfo> runsSnapshot() const;
 
   /// Ingests one profile: canonicalizes, validates compatibility against
-  /// the shards already present, writes the object, and updates the index.
-  /// Idempotent — re-ingesting identical data returns the same digest
-  /// without rewriting anything.  \p Label names the source in errors.
+  /// the shards already present, writes the object, and appends the shard
+  /// to the index journal.  Idempotent — re-ingesting identical data
+  /// returns the same digest without rewriting anything.  \p Label names
+  /// the source in errors.
   /// \p CaptureTimeNs stamps the shard's capture time (ns since epoch);
   /// 0 means "now".  Explicit stamps exist for backfill and for
   /// deterministic tests of windowed selection.
@@ -258,9 +263,9 @@ public:
   /// Returns true if a fold was committed (or the store changed underfoot
   /// and planning should rerun), false when the store is fully compacted.
   /// Crash-safe: the run file commits by atomic write-then-rename before
-  /// the index is rewritten, and a failure at any point leaves every
-  /// committed artifact intact — at worst an orphan run file that gc()
-  /// sweeps.  \p Stats, when given, accumulates what the fold
+  /// the run's journal record is appended, and a failure at any point
+  /// leaves every committed artifact intact — at worst an orphan run file
+  /// that gc() sweeps.  \p Stats, when given, accumulates what the fold
   /// accomplished.
   Expected<bool> compactStep(ThreadPool *Pool = nullptr,
                              CompactionStats *Stats = nullptr);
@@ -268,9 +273,9 @@ public:
   /// Runs compactStep until no fold remains.
   Expected<CompactionStats> compact(ThreadPool *Pool = nullptr);
 
-  /// True if compactStep would have work to do — a cheap planning pass
-  /// under the ingest lock, used by the daemon to decide whether to
-  /// schedule a background pass.
+  /// True if compactStep would commit a fold: two counts kept current by
+  /// every put, fold, expiry and load, read under the ingest lock.  The
+  /// daemon asks after every stored push.
   bool compactionPending() const;
 
   /// Sweeps unreferenced files: cache entries other than the live
@@ -280,7 +285,9 @@ public:
   /// without a live manifest, and stale .tmp residue.  With
   /// GcOptions::ExpireBeforeNs, first drops shards older than the cutoff
   /// and retires the runs over them; their siblings stay for the next
-  /// compaction to refold.
+  /// compaction to refold.  Expiry always checkpoints the index, since
+  /// journal records only add.  gc waits for in-flight puts and folds to
+  /// commit, so it never sweeps a file one of them has yet to index.
   Expected<GcStats> gc();
   Expected<GcStats> gc(const GcOptions &GcOpts);
 
@@ -300,17 +307,35 @@ private:
     std::vector<Sha256Digest> Members;      ///< Union member set, sorted.
     uint64_t MinTimeNs = 0;
     uint64_t MaxTimeNs = 0;
+    uint64_t Epoch = 0; ///< TreeEpoch when planned.
   };
 
+  /// Reads index.bin, replays index.log over it, and validates the result.
   Error loadIndex();
-  Error saveIndex() const;
+  /// Reads the journal records of the checkpoint's generation.
+  Error replayJournal();
+  /// Appends one journal record, writing the header first into an empty
+  /// journal.  A failed append is cut back; if the cut fails too, every
+  /// later write is refused until the store is reopened.
+  Error appendRecord(uint8_t Kind, const std::vector<uint8_t> &Payload);
+  /// Rewrites index.bin from memory under a generation past its own and
+  /// StaleGeneration, then empties the journal.
+  Error checkpoint();
+  /// Checkpoints once the journal holds more bytes than index.bin.  The
+  /// record that triggered it is already durable, so a failure is only
+  /// counted; the next append tries again.
+  void checkpointIfDue();
   const ShardInfo *findShard(const Sha256Digest &Digest) const;
   const RunInfo *findRun(const Sha256Digest &Digest) const;
   /// Every child digest some run names, sorted: the shards level-1 runs
   /// cover and the runs that are no longer roots.
   std::vector<Sha256Digest> claimedChildren() const;
-  /// Validates the run tree a v3 index loaded and derives Members.
+  /// Validates the loaded run tree and derives Members.
   Error checkRunTree(const std::string &Path);
+  /// Recomputes UnclaimedShards and RootRuns from the tree.
+  void recountRoots();
+  /// True if the counts say a fold is due.  Caller holds the ingest lock.
+  bool foldDue() const;
   /// Picks the next fold (lowest level first, oldest root inputs first).
   /// Caller holds the ingest lock.  False when fully compacted.
   bool planCompaction(CompactionPlan &Plan) const;
@@ -325,15 +350,42 @@ private:
   StoreOptions Options;
   std::vector<ShardInfo> Shards; ///< Sorted by digest.
   std::vector<RunInfo> Runs;     ///< Sorted by digest; one merge tree.
-  /// Single-writer lock over Shards, Runs, and the index.bin
-  /// write-then-rename: simultaneous put() calls from daemon worker
-  /// threads must not interleave the rewrite and drop each other's
-  /// entries.  Held by put, gc, compaction's plan/commit phases, and
-  /// every index read that can race with them.  shared_ptr keeps the
-  /// store movable (ProfileStore travels through Expected by value);
-  /// cross-process writers still need external coordination — the serve
-  /// daemon is the single writer for its root.
+  /// Shards no level-1 run claims, and root runs per level (index L).
+  uint64_t UnclaimedShards = 0;
+  std::vector<uint64_t> RootRuns;
+  /// Bumped by every fold commit and expiry: a plan from an older epoch
+  /// may name a claimed or expired source, so it is re-planned.
+  uint64_t TreeEpoch = 0;
+
+  /// The index journal (docs/FORMATS.md), all under the ingest lock.
+  AppendFile Journal;       ///< Opened at the first append.
+  uint64_t Generation = 0;  ///< The journal generation index.bin expects.
+  /// Generation of an ignored journal still on disk: the next checkpoint
+  /// goes past it, so that journal can never come to match.
+  uint64_t StaleGeneration = 0;
+  uint64_t IndexBytes = 0;  ///< v4 checkpoint bytes; 0 if absent or older.
+  uint64_t JournalBytes = 0; ///< Valid journal bytes, header included.
+  /// The file holds bytes past JournalBytes — a dropped tail, or a stale
+  /// generation — to cut before the next append.
+  bool JournalNeedsCut = false;
+  /// Set when a failed append could not be cut back: writes fail with it.
+  std::string WriteRefusal;
+
+  /// Single-writer lock over Shards, Runs, the counts and the journal:
+  /// held by put and compactStep to check and commit (an insert plus one
+  /// journal append, and the occasional checkpoint), by gc, and by every
+  /// index read that can race with them.  Objects and run files are
+  /// written outside it.  shared_ptr keeps the store movable
+  /// (ProfileStore travels through Expected by value); cross-process
+  /// writers still need external coordination — the serve daemon is the
+  /// single writer for its root.
   std::shared_ptr<std::mutex> IngestMutex = std::make_shared<std::mutex>();
+  /// Held shared by put and compactStep from their file write to their
+  /// commit (and by merge around its cache write), exclusively by gc: a
+  /// sweep never removes a file, or its temporary, that an in-flight
+  /// writer has yet to index.  Taken before IngestMutex.
+  std::shared_ptr<std::shared_mutex> WriteGate =
+      std::make_shared<std::shared_mutex>();
 };
 
 } // namespace gprof

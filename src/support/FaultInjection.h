@@ -27,6 +27,9 @@
 ///                failure surfaces as a clean error, never a crash
 ///   file.write   FileUtils writeFileBytes / writeFileBytesAtomic
 ///   file.rename  FileUtils renameFile (atomic-write commit step)
+///   file.append  FileUtils AppendFile::writeAt (the store's index journal);
+///                a fired call writes half its bytes first, a torn prefix
+///   file.truncate FileUtils AppendFile::truncate (journal cut-back)
 ///   store.put    ProfileStore::put entry
 ///   store.merge  ProfileStore::merge entry
 ///   store.gc     ProfileStore::gc entry

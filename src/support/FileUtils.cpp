@@ -10,9 +10,14 @@
 #include "support/Format.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
+#include <fcntl.h>
 #include <filesystem>
 #include <system_error>
+#include <unistd.h>
 
 using namespace gprof;
 
@@ -96,7 +101,11 @@ Error gprof::writeFileText(const std::string &Path, const std::string &Text) {
 
 Error gprof::writeFileBytesAtomic(const std::string &Path,
                                   const std::vector<uint8_t> &Bytes) {
-  std::string Tmp = Path + ".tmp";
+  // The pid separates processes and the sequence separates this process's
+  // writers; the .tmp suffix is what gc sweeps after a crash.
+  static std::atomic<uint64_t> NextTemp{0};
+  std::string Tmp = Path + "." + std::to_string(::getpid()) + "-" +
+                    std::to_string(NextTemp.fetch_add(1)) + ".tmp";
   if (Error E = writeFileBytes(Tmp, Bytes)) {
     removeQuietly(Tmp);
     return E;
@@ -154,5 +163,60 @@ Error gprof::renameFile(const std::string &From, const std::string &To) {
     return Error::failure(format("cannot rename '%s' to '%s': %s",
                                  From.c_str(), To.c_str(),
                                  EC.message().c_str()));
+  return Error::success();
+}
+
+AppendFile::~AppendFile() {
+  if (Fd >= 0)
+    ::close(Fd);
+}
+
+AppendFile::AppendFile(AppendFile &&Other) noexcept
+    : Fd(std::exchange(Other.Fd, -1)), Path(std::move(Other.Path)) {}
+
+AppendFile &AppendFile::operator=(AppendFile &&Other) noexcept {
+  if (this != &Other) {
+    if (Fd >= 0)
+      ::close(Fd);
+    Fd = std::exchange(Other.Fd, -1);
+    Path = std::move(Other.Path);
+  }
+  return *this;
+}
+
+Expected<AppendFile> AppendFile::open(const std::string &Path) {
+  AppendFile F;
+  F.Fd = ::open(Path.c_str(), O_WRONLY | O_CREAT | O_CLOEXEC, 0644);
+  if (F.Fd < 0)
+    return Error::failure(format("cannot open '%s' for writing: %s",
+                                 Path.c_str(), std::strerror(errno)));
+  F.Path = Path;
+  return F;
+}
+
+Error AppendFile::writeAt(uint64_t Offset, const std::vector<uint8_t> &Bytes) {
+  Error Fault = fault::check("file.append", Path);
+  const size_t Want = Fault.isFailure() ? Bytes.size() / 2 : Bytes.size();
+  for (size_t Done = 0; Done != Want;) {
+    ssize_t N = ::pwrite(Fd, Bytes.data() + Done, Want - Done,
+                         static_cast<off_t>(Offset + Done));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0) {
+      (void)static_cast<bool>(Fault);
+      return Error::failure(format("write error on '%s': %s", Path.c_str(),
+                                   std::strerror(errno)));
+    }
+    Done += static_cast<size_t>(N);
+  }
+  return Fault;
+}
+
+Error AppendFile::truncate(uint64_t Size) {
+  if (Error E = fault::check("file.truncate", Path))
+    return E;
+  if (::ftruncate(Fd, static_cast<off_t>(Size)) != 0)
+    return Error::failure(format("cannot truncate '%s': %s", Path.c_str(),
+                                 std::strerror(errno)));
   return Error::success();
 }

@@ -30,12 +30,44 @@ Error writeFileBytes(const std::string &Path,
 /// Writes \p Text to \p Path, replacing any existing file.
 Error writeFileText(const std::string &Path, const std::string &Text);
 
-/// Crash-safe replacement write: writes \p Bytes to "<Path>.tmp", then
-/// renames over \p Path.  On any failure the temporary is removed and the
-/// previous contents of \p Path survive byte-identical — a reader never
-/// observes a torn file (docs/ROBUSTNESS.md).
+/// Crash-safe replacement write: writes \p Bytes to a temporary of its own,
+/// "<Path>.<pid>-<seq>.tmp", then renames it over \p Path.  Concurrent
+/// writers of one path never share a temporary, so each rename commits a
+/// whole file and the last one wins.  On any failure the temporary is
+/// removed and the previous contents of \p Path survive byte-identical — a
+/// reader never observes a torn file (docs/ROBUSTNESS.md).
 Error writeFileBytesAtomic(const std::string &Path,
                            const std::vector<uint8_t> &Bytes);
+
+/// A file held open for writes at explicit offsets and cuts back to a
+/// length: the profile store's append-only index journal.  Movable; the
+/// descriptor closes on destruction.
+class AppendFile {
+public:
+  AppendFile() = default;
+  ~AppendFile();
+  AppendFile(AppendFile &&Other) noexcept;
+  AppendFile &operator=(AppendFile &&Other) noexcept;
+  AppendFile(const AppendFile &) = delete;
+  AppendFile &operator=(const AppendFile &) = delete;
+
+  /// Opens \p Path for writing, creating it empty if it does not exist.
+  static Expected<AppendFile> open(const std::string &Path);
+
+  bool isOpen() const { return Fd >= 0; }
+
+  /// Writes \p Bytes at byte \p Offset.  An armed file.append fault
+  /// writes only the first half of them and then fails: the torn prefix a
+  /// crash mid-append leaves behind.
+  Error writeAt(uint64_t Offset, const std::vector<uint8_t> &Bytes);
+
+  /// Cuts the file to \p Size bytes (fault point file.truncate).
+  Error truncate(uint64_t Size);
+
+private:
+  int Fd = -1;
+  std::string Path;
+};
 
 /// True if a regular file exists at \p Path.
 bool fileExists(const std::string &Path);

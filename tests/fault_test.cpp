@@ -26,8 +26,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <filesystem>
 #include <map>
+#include <mutex>
 #include <thread>
 #include <unistd.h>
 
@@ -101,6 +103,17 @@ snapshotTree(const std::string &Root) {
       Snap[Entry.path().string()] =
           cantFail(readFileBytes(Entry.path().string()));
   return Snap;
+}
+
+/// Replaces the tree under \p Root with \p Snap (from snapshotTree).
+void restoreTree(const std::string &Root,
+                 const std::map<std::string, std::vector<uint8_t>> &Snap) {
+  std::filesystem::remove_all(Root);
+  for (const auto &[Path, Bytes] : Snap) {
+    std::filesystem::create_directories(
+        std::filesystem::path(Path).parent_path());
+    cantFail(writeFileBytes(Path, Bytes));
+  }
 }
 
 /// True if any file under \p Root has a ".tmp" suffix.
@@ -209,7 +222,7 @@ TEST_F(AtomicWriteTest, WriteFaultLeavesOriginalByteIdentical) {
   fault::disarmAll();
 
   EXPECT_EQ(cantFail(readFileBytes(Path)), Old);
-  EXPECT_FALSE(fileExists(Path + ".tmp"));
+  EXPECT_FALSE(anyTmpFile(Dir.Path));
 }
 
 TEST_F(AtomicWriteTest, RenameFaultLeavesOriginalAndNoTmp) {
@@ -226,7 +239,7 @@ TEST_F(AtomicWriteTest, RenameFaultLeavesOriginalAndNoTmp) {
 
   EXPECT_EQ(cantFail(readFileBytes(Path)), Old);
   // The failed commit must not leave its temporary behind either.
-  EXPECT_FALSE(fileExists(Path + ".tmp"));
+  EXPECT_FALSE(anyTmpFile(Dir.Path));
 }
 
 TEST_F(AtomicWriteTest, ReadFaultPropagates) {
@@ -256,7 +269,7 @@ TEST_F(AtomicWriteTest, CrashMidGmonWriteKeepsPriorProfile) {
     fault::disarmAll();
     // The previous profile survives byte-identical and still parses.
     EXPECT_EQ(cantFail(readFileBytes(Path)), OldBytes) << Point;
-    EXPECT_FALSE(fileExists(Path + ".tmp")) << Point;
+    EXPECT_FALSE(anyTmpFile(Dir.Path)) << Point;
     auto Back = readGmonFile(Path);
     ASSERT_TRUE(static_cast<bool>(Back)) << Point;
     EXPECT_EQ(Back->Arcs.size(), NumArcs) << Point;
@@ -298,7 +311,7 @@ TEST_F(AtomicWriteTest, MultiThreadSnapshotWriteFaultLeavesNoTornGmon) {
   ASSERT_TRUE(static_cast<bool>(E));
   fault::disarmAll();
   EXPECT_EQ(cantFail(readFileBytes(Path)), OldBytes);
-  EXPECT_FALSE(fileExists(Path + ".tmp"));
+  EXPECT_FALSE(anyTmpFile(Dir.Path));
   // The surviving file still parses as the first snapshot.
   EXPECT_EQ(writeGmon(cantFail(readGmonFile(Path))), OldBytes);
 
@@ -312,6 +325,41 @@ TEST_F(AtomicWriteTest, MultiThreadSnapshotWriteFaultLeavesNoTornGmon) {
   for (const ArcRecord &R : Back.Arcs)
     BackTotal += R.Count;
   EXPECT_EQ(BackTotal, 2 * FirstTotal);
+}
+
+TEST_F(AtomicWriteTest, ConcurrentWritersOfOnePathEachCommit) {
+  // Two cold queries of one window both write cache/<agg>.gmon.  Each
+  // atomic write has a temporary of its own, so every rename commits a
+  // whole file: with one shared "<path>.tmp", a writer whose temporary
+  // another had already renamed away failed with ENOENT.
+  TempDir Dir("atomic_concurrent");
+  const std::string Path = Dir.Path + "/shared.bin";
+  constexpr unsigned Threads = 8, Writes = 100;
+  std::atomic<unsigned> Failures{0};
+  std::string FirstFailure;
+  std::mutex FailureMutex;
+  std::vector<std::thread> Writers;
+  for (unsigned T = 0; T != Threads; ++T)
+    Writers.emplace_back([&, T] {
+      const std::vector<uint8_t> Payload(256 + T, static_cast<uint8_t>(T));
+      for (unsigned I = 0; I != Writes; ++I)
+        if (Error E = writeFileBytesAtomic(Path, Payload)) {
+          std::lock_guard<std::mutex> Lock(FailureMutex);
+          if (Failures.fetch_add(1) == 0)
+            FirstFailure = E.message();
+        }
+    });
+  for (std::thread &W : Writers)
+    W.join();
+  EXPECT_EQ(Failures.load(), 0u) << FirstFailure;
+  EXPECT_FALSE(anyTmpFile(Dir.Path));
+  // The survivor is one writer's whole payload.
+  std::vector<uint8_t> Final = cantFail(readFileBytes(Path));
+  ASSERT_GE(Final.size(), 256u);
+  const unsigned Writer = Final.size() - 256;
+  ASSERT_LT(Writer, Threads);
+  EXPECT_EQ(Final, std::vector<uint8_t>(256 + Writer,
+                                        static_cast<uint8_t>(Writer)));
 }
 
 //===----------------------------------------------------------------------===//
@@ -815,44 +863,68 @@ TEST_F(StoreFaultTest, PutFaultSweepLeavesPriorArtifactsIntact) {
   StoreOptions NoRetry;
   NoRetry.IoRetries = 0;
   std::string Input = Dir.Path + "/incoming.gmon";
-  cantFail(writeGmonFile(Input, makeStoreShard(3)));
+  cantFail(writeGmonFile(Input, makeStoreShard(4)));
   {
     auto Store = ProfileStore::open(Root, NoRetry);
     ASSERT_TRUE(static_cast<bool>(Store));
-    cantFail(Store->put(makeStoreShard(1)).takeError());
-    cantFail(Store->put(makeStoreShard(2)).takeError());
+    for (uint64_t S = 1; S <= 3; ++S)
+      cantFail(Store->put(makeStoreShard(S)).takeError());
   }
+  // index.bin checkpoints two shards and index.log journals the third, so
+  // the next put's record takes the journal past the checkpoint's size.
   auto Before = snapshotTree(Root);
+  ASSERT_EQ(Before.count(Root + "/index.log"), 1u);
 
   // One case per (point, call depth) that a single ingest reaches: put
-  // checks store.put once, writes twice (object, then index) and renames
-  // twice; putFile reads the incoming gmon once.  Every case must fail the
-  // ingest and leave all prior artifacts byte-identical.
+  // checks store.put once, writes and renames the object, appends one
+  // journal record, then checkpoints — writes and renames index.bin and
+  // empties the journal; putFile reads the incoming gmon once.  A fault
+  // up to the append fails the ingest and leaves all prior artifacts
+  // byte-identical (a torn append is cut back).  A fault in the
+  // checkpoint comes after the record is durable: the put is
+  // acknowledged, and the journal keeps what index.bin lacks.
   struct SweepCase {
     const char *Point;
     uint64_t Nth;
     bool ViaFile;
+    bool Acked;
   };
   const SweepCase Cases[] = {
-      {"store.put", 1, false},   {"file.read", 1, true},
-      {"file.write", 1, false},  {"file.write", 2, false},
-      {"file.rename", 1, false}, {"file.rename", 2, false},
+      {"store.put", 1, false, false},  {"file.read", 1, true, false},
+      {"file.write", 1, false, false}, {"file.rename", 1, false, false},
+      {"file.append", 1, false, false}, {"file.write", 2, false, true},
+      {"file.rename", 2, false, true}, {"file.truncate", 1, false, true},
   };
   for (const SweepCase &C : Cases) {
+    restoreTree(Root, Before);
     auto Store = ProfileStore::open(Root, NoRetry);
     ASSERT_TRUE(static_cast<bool>(Store)) << C.Point;
     fault::arm(C.Point, C.Nth, 0);
-    Error E = C.ViaFile ? Store->putFile(Input).takeError()
-                        : Store->put(makeStoreShard(3)).takeError();
-    EXPECT_TRUE(static_cast<bool>(E)) << C.Point << " nth " << C.Nth;
+    auto Put = C.ViaFile ? Store->putFile(Input) : Store->put(makeStoreShard(4));
+    uint64_t Fired = fault::firedCount(C.Point);
     fault::disarmAll();
+    EXPECT_EQ(Fired, 1u) << C.Point << " nth " << C.Nth;
+    EXPECT_FALSE(anyTmpFile(Root)) << C.Point << " nth " << C.Nth;
 
+    if (C.Acked) {
+      ASSERT_TRUE(static_cast<bool>(Put)) << C.Point << " nth " << C.Nth;
+      auto Fresh = ProfileStore::open(Root, NoRetry);
+      ASSERT_TRUE(static_cast<bool>(Fresh)) << C.Point;
+      ASSERT_EQ(Fresh->shards().size(), 4u) << C.Point << " nth " << C.Nth;
+      EXPECT_TRUE(static_cast<bool>(Fresh->loadShard(*Put)));
+      if (std::string(C.Point) != "file.truncate")
+        EXPECT_EQ(cantFail(readFileBytes(Root + "/index.bin")),
+                  Before[Root + "/index.bin"])
+            << C.Point << " nth " << C.Nth;
+      continue;
+    }
+    EXPECT_FALSE(static_cast<bool>(Put)) << C.Point << " nth " << C.Nth;
+    (void)Put.takeError();
     // Every prior artifact survives byte-identical, and the failed write
     // leaves no temporary behind.
     for (const auto &[Path, Bytes] : Before)
       EXPECT_EQ(cantFail(readFileBytes(Path)), Bytes)
           << C.Point << " nth " << C.Nth << ": " << Path;
-    EXPECT_FALSE(anyTmpFile(Root)) << C.Point << " nth " << C.Nth;
 
     // An object that landed before a later fault is complete (never torn)
     // and unindexed; gc from a fresh handle restores the reference tree.
@@ -1046,17 +1118,18 @@ TEST_F(StoreFaultTest, CompactionFaultSweepNeverTearsStore) {
   auto Before = snapshotTree(Root);
 
   // A fanout-2 fold checks store.compact once, reads one object per
-  // folded input, then writes and renames the run file followed by the
-  // index.  Write/rename faults past the run-file commit advance the
-  // store by one orphan run; everything earlier must change nothing.
+  // folded input, writes and renames the run file, then appends the run's
+  // journal record (the journal stays smaller than index.bin, so no
+  // checkpoint follows).  A fault after the run file's rename advances the
+  // store by one orphan run; everything earlier must change nothing, and
+  // a torn append is cut back.
   struct SweepCase {
     const char *Point;
     uint64_t Nth;
   };
   const SweepCase Cases[] = {
       {"store.compact", 1}, {"file.read", 1},   {"file.read", 2},
-      {"file.write", 1},    {"file.write", 2},  {"file.rename", 1},
-      {"file.rename", 2},
+      {"file.write", 1},    {"file.rename", 1}, {"file.append", 1},
   };
   for (const SweepCase &C : Cases) {
     fault::arm(C.Point, C.Nth, 0);
@@ -1136,4 +1209,281 @@ TEST_F(StoreFaultTest, CompactionFaultMidSequenceResumesCleanly) {
   auto Merged = Store->merge({});
   ASSERT_TRUE(static_cast<bool>(Merged));
   EXPECT_EQ(writeGmon(Merged->Data), writeGmon(Reference->Data));
+}
+
+//===----------------------------------------------------------------------===//
+// Index journal: damage, cuts and crashes (docs/FORMATS.md "index.log")
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// index.log's header, and one shard record: length u32, kind u8, the
+/// 132-byte shard record, and an 8-byte check.
+constexpr size_t JournalHeaderBytes = 24;
+constexpr size_t ShardRecordBytes = 4 + 1 + 132 + 8;
+
+/// Opens a fresh store at \p Root and puts makeStoreShard(1..N), shard S
+/// captured at time S.  Seven puts leave shards 1-4 in index.bin and 5-7 as
+/// three journal records: a checkpoint is written when the journal holds
+/// more bytes than index.bin.
+void putStoreShards(const std::string &Root, uint64_t N) {
+  StoreOptions NoRetry;
+  NoRetry.IoRetries = 0;
+  auto Store = ProfileStore::open(Root, NoRetry);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  for (uint64_t S = 1; S <= N; ++S)
+    cantFail(
+        Store->put(makeStoreShard(S), Sha256Digest{}, "profile", S).takeError());
+}
+
+std::vector<Sha256Digest> shardDigests(const ProfileStore &Store) {
+  std::vector<Sha256Digest> Out;
+  for (const ShardInfo &S : Store.shards())
+    Out.push_back(S.Digest);
+  return Out;
+}
+
+} // namespace
+
+TEST_F(StoreFaultTest, JournalPutAppendsOneRecordAndLeavesCheckpoint) {
+  // The point of the journal: a put that does not checkpoint leaves
+  // index.bin byte-identical and appends exactly one record, laid out as
+  // docs/FORMATS.md says.
+  TempDir Dir("journal_append");
+  std::string Root = Dir.Path + "/store";
+  putStoreShards(Root, 5);
+  const std::string Log = Root + "/index.log";
+  ASSERT_TRUE(fileExists(Log));
+  std::vector<uint8_t> Index = cantFail(readFileBytes(Root + "/index.bin"));
+  std::vector<uint8_t> Journal = cantFail(readFileBytes(Log));
+  ASSERT_EQ(Journal.size(), JournalHeaderBytes + ShardRecordBytes);
+  ASSERT_GE(Index.size(), Journal.size() + ShardRecordBytes);
+
+  auto Store = ProfileStore::open(Root);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  Sha256Digest Digest = cantFail(Store->put(makeStoreShard(6)));
+  EXPECT_EQ(cantFail(readFileBytes(Root + "/index.bin")), Index);
+  std::vector<uint8_t> Grown = cantFail(readFileBytes(Log));
+  ASSERT_EQ(Grown.size(), Journal.size() + ShardRecordBytes);
+  EXPECT_TRUE(std::equal(Journal.begin(), Journal.end(), Grown.begin()));
+
+  const uint8_t *R = Grown.data() + Journal.size();
+  EXPECT_EQ(R[0] | R[1] << 8 | R[2] << 16 | R[3] << 24, 132);
+  EXPECT_EQ(R[4], 1); // A shard record.
+  EXPECT_TRUE(std::equal(Digest.begin(), Digest.end(), R + 5));
+  Sha256Digest Check = Sha256::hash(R, 5 + 132);
+  EXPECT_TRUE(std::equal(Check.begin(), Check.begin() + 8, R + 5 + 132));
+}
+
+TEST_F(StoreFaultTest, JournalEveryCut) {
+  // A crash mid-append leaves a prefix of the journal that ends inside
+  // its last record.  At every cut, reopening keeps exactly the whole
+  // records before it — every put acknowledged by then — and the next put
+  // cuts the torn tail off and appends a whole record in its place.
+  TempDir Dir("journal_cuts");
+  std::string Root = Dir.Path + "/store";
+  putStoreShards(Root, 7);
+  const std::string Log = Root + "/index.log";
+  const std::vector<uint8_t> Full = cantFail(readFileBytes(Log));
+  ASSERT_EQ(Full.size(), JournalHeaderBytes + 3 * ShardRecordBytes);
+  const size_t InCheckpoint = 4;
+
+  for (size_t Cut = 0; Cut != Full.size(); ++Cut) {
+    const size_t Whole = Cut < JournalHeaderBytes
+                             ? 0
+                             : (Cut - JournalHeaderBytes) / ShardRecordBytes;
+    cantFail(writeFileBytes(
+        Log, std::vector<uint8_t>(Full.begin(), Full.begin() + Cut)));
+    auto Store = ProfileStore::open(Root);
+    ASSERT_TRUE(static_cast<bool>(Store)) << "cut " << Cut << ": "
+                                          << Store.message();
+    std::vector<Sha256Digest> Kept = shardDigests(*Store);
+    ASSERT_EQ(Kept.size(), InCheckpoint + Whole) << "cut " << Cut;
+    for (const ShardInfo &S : Store->shards())
+      EXPECT_LE(S.CaptureTimeNs, InCheckpoint + Whole) << "cut " << Cut;
+    Sha256Digest Added = cantFail(Store->put(makeStoreShard(8)));
+    EXPECT_EQ(std::filesystem::file_size(Log),
+              JournalHeaderBytes + (Whole + 1) * ShardRecordBytes)
+        << "cut " << Cut;
+    auto Reopened = ProfileStore::open(Root);
+    ASSERT_TRUE(static_cast<bool>(Reopened)) << "cut " << Cut;
+    Kept.push_back(Added);
+    std::sort(Kept.begin(), Kept.end());
+    EXPECT_EQ(shardDigests(*Reopened), Kept) << "cut " << Cut;
+  }
+}
+
+TEST_F(StoreFaultTest, JournalEveryByteFlip) {
+  // Damage is told from a tear by what follows it: a failing last record
+  // is dropped like a torn one, but a failing record with an intact one
+  // after it fails open, naming the file and the record's offset.  A
+  // damaged header always fails open.
+  TempDir Dir("journal_flips");
+  std::string Root = Dir.Path + "/store";
+  putStoreShards(Root, 7);
+  const std::string Log = Root + "/index.log";
+  const std::vector<uint8_t> Full = cantFail(readFileBytes(Log));
+  ASSERT_EQ(Full.size(), JournalHeaderBytes + 3 * ShardRecordBytes);
+  const size_t LastStart = Full.size() - ShardRecordBytes;
+  size_t KeptWhenLastDropped = 0;
+  {
+    cantFail(writeFileBytes(
+        Log, std::vector<uint8_t>(Full.begin(), Full.begin() + LastStart)));
+    auto Store = ProfileStore::open(Root);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    KeptWhenLastDropped = Store->shards().size();
+  }
+  ASSERT_EQ(KeptWhenLastDropped, 6u);
+
+  for (size_t Off = 0; Off != Full.size(); ++Off)
+    for (uint8_t Mask : {uint8_t(0x01), uint8_t(0x80)}) {
+      std::vector<uint8_t> Bytes = Full;
+      Bytes[Off] ^= Mask;
+      cantFail(writeFileBytes(Log, Bytes));
+      auto Store = ProfileStore::open(Root);
+      if (Off >= LastStart) {
+        ASSERT_TRUE(static_cast<bool>(Store))
+            << "offset " << Off << ": " << Store.message();
+        EXPECT_EQ(Store->shards().size(), KeptWhenLastDropped)
+            << "offset " << Off;
+        continue;
+      }
+      ASSERT_FALSE(static_cast<bool>(Store)) << "offset " << Off;
+      if (Off < JournalHeaderBytes) {
+        EXPECT_NE(Store.message().find(Log + ": "), std::string::npos)
+            << Store.message();
+        continue;
+      }
+      const size_t Record =
+          Off - (Off - JournalHeaderBytes) % ShardRecordBytes;
+      EXPECT_EQ(Store.message(), Log + ": damaged record at offset " +
+                                     std::to_string(Record))
+          << "offset " << Off;
+    }
+}
+
+TEST_F(StoreFaultTest, JournalOfAStaleGenerationIsIgnored) {
+  // gc expiry checkpoints index.bin under a new generation, then empties
+  // the journal.  A crash between the two leaves the old journal beside
+  // the new checkpoint; replaying it would bring back what gc expired.
+  TempDir Dir("journal_stale");
+  std::string Root = Dir.Path + "/store";
+  putStoreShards(Root, 7);
+  const std::string Log = Root + "/index.log";
+  const std::vector<uint8_t> OldJournal = cantFail(readFileBytes(Log));
+  ASSERT_GT(OldJournal.size(), JournalHeaderBytes);
+
+  std::vector<Sha256Digest> AfterGc;
+  {
+    auto Store = ProfileStore::open(Root);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    GcOptions Expire;
+    Expire.ExpireBeforeNs = 2; // Shard 1 only.
+    auto Stats = Store->gc(Expire);
+    ASSERT_TRUE(static_cast<bool>(Stats));
+    EXPECT_EQ(Stats->ExpiredShards, 1u);
+    AfterGc = shardDigests(*Store);
+  }
+  ASSERT_EQ(AfterGc.size(), 6u);
+  cantFail(writeFileBytes(Log, OldJournal));
+
+  auto Store = ProfileStore::open(Root);
+  ASSERT_TRUE(static_cast<bool>(Store)) << Store.message();
+  EXPECT_EQ(shardDigests(*Store), AfterGc);
+  for (const ShardInfo &S : Store->shards())
+    EXPECT_NE(S.CaptureTimeNs, 1u);
+
+  // The next put cuts the stale journal off and starts a fresh one.
+  Sha256Digest Added = cantFail(Store->put(makeStoreShard(8)));
+  EXPECT_EQ(std::filesystem::file_size(Log),
+            JournalHeaderBytes + ShardRecordBytes);
+  auto Reopened = ProfileStore::open(Root);
+  ASSERT_TRUE(static_cast<bool>(Reopened));
+  std::vector<Sha256Digest> Want = AfterGc;
+  Want.push_back(Added);
+  std::sort(Want.begin(), Want.end());
+  EXPECT_EQ(shardDigests(*Reopened), Want);
+}
+
+TEST_F(StoreFaultTest, CheckpointGoesPastAnIgnoredJournalsGeneration) {
+  // An index.bin restored from an older checkpoint ignores the newer
+  // journal beside it.  A checkpoint from that state must not take the
+  // journal's generation, or the next open would replay it over a store
+  // it was never written against.
+  TempDir Dir("journal_newer");
+  std::string Root = Dir.Path + "/store";
+  putStoreShards(Root, 3);
+  const std::vector<uint8_t> OldIndex =
+      cantFail(readFileBytes(Root + "/index.bin"));
+  {
+    StoreOptions Opts;
+    auto Store = ProfileStore::open(Root, Opts);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    for (uint64_t S = 4; S <= 7; ++S)
+      cantFail(Store->put(makeStoreShard(S), Sha256Digest{}, "profile", S)
+                   .takeError());
+  }
+  ASSERT_GT(std::filesystem::file_size(Root + "/index.log"),
+            JournalHeaderBytes);
+  cantFail(writeFileBytes(Root + "/index.bin", OldIndex));
+
+  std::vector<Sha256Digest> AfterGc;
+  {
+    auto Store = ProfileStore::open(Root);
+    ASSERT_TRUE(static_cast<bool>(Store));
+    ASSERT_EQ(Store->shards().size(), 2u);
+    GcOptions Expire;
+    Expire.ExpireBeforeNs = 2;
+    cantFail(Store->gc(Expire).takeError());
+    AfterGc = shardDigests(*Store);
+  }
+  ASSERT_EQ(AfterGc.size(), 1u);
+  auto Reopened = ProfileStore::open(Root);
+  ASSERT_TRUE(static_cast<bool>(Reopened)) << Reopened.message();
+  EXPECT_EQ(shardDigests(*Reopened), AfterGc);
+}
+
+TEST_F(StoreFaultTest, JournalAppendThatCannotBeCutBackRefusesWrites) {
+  // A torn append is cut back before the put reports failure.  When the
+  // cut fails too, the handle refuses every later write — it no longer
+  // knows where the journal ends — until the store is reopened, which
+  // drops the torn tail as it drops any torn last record.
+  TempDir Dir("journal_refuse");
+  std::string Root = Dir.Path + "/store";
+  putStoreShards(Root, 5);
+  const std::string Log = Root + "/index.log";
+  const std::vector<uint8_t> Before = cantFail(readFileBytes(Log));
+  StoreOptions NoRetry;
+  NoRetry.IoRetries = 0;
+  auto Store = ProfileStore::open(Root, NoRetry);
+  ASSERT_TRUE(static_cast<bool>(Store));
+
+  fault::arm("file.append", 1);
+  fault::arm("file.truncate", 1);
+  auto Torn = Store->put(makeStoreShard(6));
+  fault::disarmAll();
+  ASSERT_FALSE(static_cast<bool>(Torn));
+  (void)Torn.takeError();
+  EXPECT_EQ(std::filesystem::file_size(Log),
+            Before.size() + ShardRecordBytes / 2);
+
+  auto Refused = Store->put(makeStoreShard(7));
+  ASSERT_FALSE(static_cast<bool>(Refused));
+  EXPECT_NE(Refused.message().find("could not be cut back"),
+            std::string::npos)
+      << Refused.message();
+  (void)Refused.takeError();
+  GcOptions Expire;
+  Expire.ExpireBeforeNs = 2;
+  auto Gc = Store->gc(Expire);
+  EXPECT_FALSE(static_cast<bool>(Gc));
+  (void)Gc.takeError();
+
+  auto Reopened = ProfileStore::open(Root, NoRetry);
+  ASSERT_TRUE(static_cast<bool>(Reopened)) << Reopened.message();
+  EXPECT_EQ(Reopened->shards().size(), 5u);
+  cantFail(Reopened->put(makeStoreShard(6)).takeError());
+  std::vector<uint8_t> After = cantFail(readFileBytes(Log));
+  ASSERT_EQ(After.size(), Before.size() + ShardRecordBytes);
+  EXPECT_TRUE(std::equal(Before.begin(), Before.end(), After.begin()));
 }

@@ -90,13 +90,16 @@ void corruptRunCount(const ProfileStore &Store, const RunInfo &Run,
 
 /// Encodes index.bin by hand, as docs/FORMATS.md lays it out: version-2
 /// runs carry their flat member lists, version-3 runs their content
-/// digest and children.
+/// digest and children; version 4 adds the journal generation.
 std::vector<uint8_t> encodeIndex(uint32_t Version,
                                  const std::vector<ShardInfo> &Shards,
-                                 const std::vector<RunInfo> &Runs) {
+                                 const std::vector<RunInfo> &Runs,
+                                 uint64_t Generation = 0) {
   BinaryWriter W;
   W.writeBytes(reinterpret_cast<const uint8_t *>("GPSI"), 4);
   W.writeU32(Version);
+  if (Version >= 4)
+    W.writeU64(Generation);
   W.writeU64(Shards.size());
   for (const ShardInfo &S : Shards) {
     W.writeBytes(S.Digest.data(), S.Digest.size());
@@ -749,6 +752,132 @@ TEST(CompactionTest, ReportBytesInvariantAtEveryState) {
   EXPECT_EQ(writeGmon(Final->Data), RefBytes);
 }
 
+TEST(CompactionTest, PendingIsTrueExactlyWhenTheNextStepCommits) {
+  // compactionPending() reads counts that put, fold, expiry and load keep
+  // current instead of planning a fold.  After each of them it must say
+  // exactly whether the next compactStep() commits one, and a handle
+  // reopened on the same state must agree.
+  TempStoreDir Dir("compact_pending");
+  StoreOptions SO;
+  SO.CompactionFanout = 3;
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  unsigned Folds = 0;
+  auto Drain = [&](const std::string &After) {
+    for (unsigned Step = 0;; ++Step) {
+      const bool Pending = Store->compactionPending();
+      auto Fresh = ProfileStore::open(Dir.Path, SO);
+      ASSERT_TRUE(static_cast<bool>(Fresh));
+      EXPECT_EQ(Fresh->compactionPending(), Pending) << After << " " << Step;
+      auto Worked = Store->compactStep();
+      ASSERT_TRUE(static_cast<bool>(Worked)) << After;
+      EXPECT_EQ(*Worked, Pending) << After << " step " << Step;
+      if (!*Worked)
+        return;
+      ++Folds;
+    }
+  };
+  // Fold after every put: 12 shards make four level-1 runs, one level-2.
+  for (uint64_t S = 0; S != 12; ++S) {
+    cantFail(Store->put(makeShard(5200 + S), Sha256Digest{}, "profile",
+                        100 + S));
+    Drain("put " + std::to_string(S));
+  }
+  EXPECT_EQ(Folds, 5u);
+  // A batch leaves several folds due at once, on two levels.
+  for (uint64_t S = 12; S != 27; ++S)
+    cantFail(Store->put(makeShard(5200 + S), Sha256Digest{}, "profile",
+                        100 + S));
+  Drain("batch");
+  EXPECT_EQ(Folds, 13u); // 9 level-1, 3 level-2 and 1 level-3 runs.
+  // Expiry retires runs over shard 0 and leaves their siblings as roots.
+  GcOptions Expire;
+  Expire.ExpireBeforeNs = 101;
+  auto Stats = Store->gc(Expire);
+  ASSERT_TRUE(static_cast<bool>(Stats));
+  EXPECT_GT(Stats->RetiredRuns, 0u);
+  Drain("expiry");
+  for (uint64_t S = 27; S != 30; ++S)
+    cantFail(Store->put(makeShard(5200 + S), Sha256Digest{}, "profile",
+                        100 + S));
+  Drain("after expiry");
+}
+
+TEST(CompactionTest, ConcurrentIngestCompactAndGcKeepEveryAck) {
+  // The short ingest lock under load: 8 threads put distinct and
+  // duplicate shards, writing objects outside the lock, while one thread
+  // compacts and another sweeps with gc().  No acknowledged put may be
+  // lost or left without its object, no temporary may survive, and the
+  // report must equal the flat merge.
+  TempStoreDir Dir("concurrent_ingest");
+  StoreOptions SO;
+  SO.CompactionFanout = 4;
+  auto Store = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Store));
+  constexpr unsigned Putters = 8, Own = 6;
+  std::vector<ProfileData> Shards = makeShards(Putters * Own, /*Seed=*/6100);
+
+  std::mutex AckMutex;
+  std::set<Sha256Digest> Acked;
+  std::vector<std::string> Errors;
+  auto Fail = [&](const std::string &Message) {
+    std::lock_guard<std::mutex> Lock(AckMutex);
+    Errors.push_back(Message);
+  };
+  std::atomic<unsigned> Running{Putters};
+  std::vector<std::thread> Threads;
+  for (unsigned T = 0; T != Putters; ++T)
+    Threads.emplace_back([&, T] {
+      // Each thread puts its own shards and, interleaved, its
+      // neighbour's: every shard is put twice, racing.
+      for (unsigned I = 0; I != Own; ++I)
+        for (unsigned Owner : {T, (T + 1) % Putters}) {
+          auto Digest = Store->put(Shards[Owner * Own + I]);
+          if (!Digest) {
+            Fail(Digest.message());
+            continue;
+          }
+          std::lock_guard<std::mutex> Lock(AckMutex);
+          Acked.insert(*Digest);
+        }
+      Running.fetch_sub(1);
+    });
+  Threads.emplace_back([&] {
+    while (Running.load() != 0)
+      if (auto Stats = Store->compact(); !Stats)
+        Fail(Stats.message());
+  });
+  Threads.emplace_back([&] {
+    while (Running.load() != 0)
+      if (auto Stats = Store->gc(); !Stats)
+        Fail(Stats.message());
+  });
+  for (std::thread &Th : Threads)
+    Th.join();
+  ASSERT_TRUE(Errors.empty()) << Errors.front();
+  cantFail(Store->compact().takeError());
+  EXPECT_FALSE(Store->compactionPending());
+  ASSERT_EQ(Acked.size(), Shards.size());
+
+  for (const auto &Entry :
+       std::filesystem::recursive_directory_iterator(Dir.Path))
+    EXPECT_NE(Entry.path().extension(), ".tmp") << Entry.path();
+  auto Reopened = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Reopened)) << Reopened.message();
+  ASSERT_EQ(Reopened->shards().size(), Acked.size());
+  for (const Sha256Digest &D : Acked)
+    EXPECT_TRUE(static_cast<bool>(Reopened->loadShard(D)))
+        << digestToHex(D);
+  EXPECT_FALSE(Reopened->runs().empty());
+
+  auto Report = Reopened->merge({});
+  ASSERT_TRUE(static_cast<bool>(Report)) << Report.message();
+  EXPECT_GT(Report->RunsUsed, 0u);
+  auto Flat = mergeProfiles(Shards);
+  ASSERT_TRUE(static_cast<bool>(Flat));
+  EXPECT_EQ(writeGmon(Report->Data), writeGmon(*Flat));
+}
+
 TEST(CompactionTest, SubsetQuerySlicingThroughRunFallsBack) {
   // A query whose member set cuts through a run cannot use it; the store
   // must fall back to the raw member objects and still be exact.
@@ -1358,9 +1487,16 @@ TEST(CompactionTest, V3IndexRejectsBrokenTree) {
     Runs = Store->runs();
   }
   ASSERT_EQ(Runs.size(), 7u);
-  // The on-disk index is exactly the documented v3 layout.
+  // A hand-written v3 index of the same tree loads as generation 0, so
+  // the journal the puts and folds left beside it is ignored.
   const std::string IndexPath = Dir.Path + "/index.bin";
-  ASSERT_EQ(cantFail(readFileBytes(IndexPath)), encodeIndex(3, Shards, Runs));
+  cantFail(writeFileBytes(IndexPath, encodeIndex(3, Shards, Runs)));
+  {
+    auto Loaded = ProfileStore::open(Dir.Path, SO);
+    ASSERT_TRUE(static_cast<bool>(Loaded)) << Loaded.message();
+    EXPECT_EQ(Loaded->shards().size(), Shards.size());
+    EXPECT_EQ(Loaded->runs().size(), Runs.size());
+  }
 
   auto ExpectRejected = [&](const std::vector<RunInfo> &Broken,
                             const std::string &Why) {
@@ -1389,7 +1525,7 @@ TEST(CompactionTest, V3IndexRejectsBrokenTree) {
   ExpectRejected(TwoParents, "two runs claim");
 
   // A newer index version is refused, as this one is by older readers.
-  cantFail(writeFileBytes(IndexPath, encodeIndex(4, Shards, Runs)));
+  cantFail(writeFileBytes(IndexPath, encodeIndex(5, Shards, Runs)));
   auto Newer = ProfileStore::open(Dir.Path, SO);
   ASSERT_FALSE(static_cast<bool>(Newer));
   EXPECT_NE(Newer.message().find("unsupported index version"),
@@ -1400,4 +1536,25 @@ TEST(CompactionTest, V3IndexRejectsBrokenTree) {
   auto Intact = ProfileStore::open(Dir.Path, SO);
   ASSERT_TRUE(static_cast<bool>(Intact)) << Intact.message();
   EXPECT_EQ(Intact->runs().size(), 7u);
+
+  // A removal commits as a checkpoint: expiring shard 1 retires its three
+  // ancestors and rewrites index.bin as exactly the documented v4 layout,
+  // at a generation past the v3 index's 0.
+  GcOptions Expire;
+  Expire.ExpireBeforeNs = 2;
+  auto Stats = Intact->gc(Expire);
+  ASSERT_TRUE(static_cast<bool>(Stats));
+  EXPECT_EQ(Stats->RetiredRuns, 3u);
+  std::vector<uint8_t> Checkpoint = cantFail(readFileBytes(IndexPath));
+  ASSERT_GE(Checkpoint.size(), 16u);
+  uint64_t Generation = 0;
+  for (unsigned I = 0; I != 8; ++I)
+    Generation |= uint64_t(Checkpoint[8 + I]) << (8 * I);
+  EXPECT_GE(Generation, 1u);
+  EXPECT_EQ(Checkpoint,
+            encodeIndex(4, Intact->shards(), Intact->runs(), Generation));
+  auto Reopened = ProfileStore::open(Dir.Path, SO);
+  ASSERT_TRUE(static_cast<bool>(Reopened)) << Reopened.message();
+  EXPECT_EQ(Reopened->shards().size(), 7u);
+  EXPECT_EQ(Reopened->runs().size(), 4u);
 }
