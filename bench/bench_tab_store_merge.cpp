@@ -8,18 +8,18 @@
 /// Measures the profile store's aggregation engine over a fleet-sized shard
 /// set, in two sections.  Engine: 256 synthetic gmon shards merged by (a)
 /// the historical sequential fold (ProfileData::merge, linear-scan addArc)
-/// and (b) the parallel k-way merge tree at 1/2/4/8 workers, checking that
-/// every configuration produces byte-identical output.  Compaction: a real
-/// on-disk store at 256 and 1024 shards, comparing the cold flat-merge
-/// report (every object read and merged) against the report after LSM
-/// compaction (a handful of tiered runs), each timed once on a cold
-/// store, asserting that the flat report merges every shard, that the
-/// compacted report merges 1 to 16 inputs, and that its bytes match the
-/// flat merge exactly.  One aligned capture-time window per store size
-/// (64 shards; 8 in smoke mode) must read the one run of its subtree, with
-/// bytes equal to its flat merge.  Emits BENCH_store_merge.json for the
-/// perf-tracking tooling; --smoke shrinks the sizes for the ctest hook
-/// that keeps the bench and its JSON emission from rotting.
+/// and (b) the k-way merge, checking that both produce byte-identical
+/// output.  Compaction: a real on-disk store at 256 and 1024 shards,
+/// comparing the cold flat-merge report (every object read and merged)
+/// against the report after LSM compaction (a handful of tiered runs),
+/// each timed once on a cold store, asserting that the flat report
+/// merges every shard, that the compacted report merges 1 to 16 inputs,
+/// and that its bytes match the flat merge exactly.  One aligned
+/// capture-time window per store size (64 shards; 8 in smoke mode) must
+/// read the one run of its subtree, with bytes equal to its flat merge.
+/// Emits BENCH_store_merge.json for the perf-tracking tooling; --smoke
+/// shrinks the sizes for the ctest hook that keeps the bench and its JSON
+/// emission from rotting.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -28,7 +28,6 @@
 #include "store/MergeEngine.h"
 #include "store/ProfileStore.h"
 #include "support/Random.h"
-#include "support/ThreadPool.h"
 
 #include <cstdio>
 #include <cstring>
@@ -99,18 +98,17 @@ CompactionRound runCompactionRound(size_t NumShards, size_t Window) {
 
   // Each operation is timed once: a repeat would hit the aggregate cache
   // (merge) or find nothing left to fold (compact).
-  ThreadPool Pool(8);
   ProfileStore::MergeResult Flat;
-  R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({}, &Pool)); }, 1);
+  R.FlatMs = timeMs([&] { Flat = cantFail(Store.merge({})); }, 1);
   R.InputsFlat = Flat.InputsMerged;
   std::vector<uint8_t> FlatBytes = writeGmon(Flat.Data);
   ProfileStore::MergeResult FlatWindow;
   R.WindowFlatMs =
-      timeMs([&] { FlatWindow = cantFail(Store.merge(Oldest, &Pool)); }, 1);
+      timeMs([&] { FlatWindow = cantFail(Store.merge(Oldest)); }, 1);
 
   R.CompactMs = timeMs(
       [&] {
-        CompactionStats Stats = cantFail(Store.compact(&Pool));
+        CompactionStats Stats = cantFail(Store.compact());
         R.Folds = Stats.Steps;
       },
       1);
@@ -118,8 +116,7 @@ CompactionRound runCompactionRound(size_t NumShards, size_t Window) {
   // Cold again: drop the cached aggregate so the report actually merges.
   cantFail(removeFile(Store.cachePath(Flat.Digest)));
   ProfileStore::MergeResult Tiered;
-  R.ReportMs =
-      timeMs([&] { Tiered = cantFail(Store.merge({}, &Pool)); }, 1);
+  R.ReportMs = timeMs([&] { Tiered = cantFail(Store.merge({})); }, 1);
   R.InputsCompacted = Tiered.InputsMerged;
   R.RunsUsed = Tiered.RunsUsed;
   R.Identical = writeGmon(Tiered.Data) == FlatBytes;
@@ -127,7 +124,7 @@ CompactionRound runCompactionRound(size_t NumShards, size_t Window) {
   cantFail(removeFile(Store.cachePath(FlatWindow.Digest)));
   ProfileStore::MergeResult TreeWindow;
   R.WindowMs =
-      timeMs([&] { TreeWindow = cantFail(Store.merge(Oldest, &Pool)); }, 1);
+      timeMs([&] { TreeWindow = cantFail(Store.merge(Oldest)); }, 1);
   R.WindowInputs = TreeWindow.InputsMerged;
   R.WindowIdentical = writeGmon(TreeWindow.Data) == writeGmon(FlatWindow.Data);
 
@@ -145,8 +142,7 @@ int main(int Argc, char **Argv) {
   const size_t Window = Smoke ? 8 : 64;
 
   banner("T-store (new)",
-         "parallel k-way merge and LSM compaction over a profile "
-         "repository");
+         "k-way merge and LSM compaction over a profile repository");
 
   std::vector<ProfileData> Shards;
   Shards.reserve(EngineShards);
@@ -158,7 +154,7 @@ int main(int Argc, char **Argv) {
   std::printf("\nengine: %zu shards, %zu arc records total\n\n",
               Shards.size(), TotalArcs);
 
-  row({"engine", "threads", "ms", "speedup vs fold"}, 16);
+  row({"engine", "ms", "speedup vs fold"}, 16);
 
   BenchJson Json("store_merge");
   Json.set("engine_shards", uint64_t(EngineShards));
@@ -174,30 +170,17 @@ int main(int Argc, char **Argv) {
   });
   canonicalizeProfile(Fold);
   std::vector<uint8_t> Reference = writeGmon(Fold);
-  row({"sequential fold", "1", format("%.2f", FoldMs), "1.00x"}, 16);
+  row({"sequential fold", format("%.2f", FoldMs), "1.00x"}, 16);
   Json.set("fold_ms", FoldMs);
 
-  bool Identical = true;
-  double KWay1Ms = 0.0, BestParallelMs = 1e300;
-  for (unsigned Threads : {1u, 2u, 4u, 8u}) {
-    ThreadPool Pool(Threads);
-    ProfileData Merged;
-    double Ms = timeMs([&] {
-      Merged = cantFail(mergeProfiles(Shards, &Pool));
-    });
-    Identical = Identical && writeGmon(Merged) == Reference;
-    if (Threads == 1)
-      KWay1Ms = Ms;
-    else if (Ms < BestParallelMs)
-      BestParallelMs = Ms;
-    row({"k-way tree", format("%u", Threads), format("%.2f", Ms),
-         format("%.2fx", FoldMs / Ms)},
-        16);
-    Json.beginRow();
-    Json.setRow("section", std::string("engine"));
-    Json.setRow("threads", uint64_t(Threads));
-    Json.setRow("ms", Ms);
-  }
+  ProfileData Merged;
+  double KWayMs = timeMs([&] { Merged = cantFail(mergeProfiles(Shards)); });
+  bool Identical = writeGmon(Merged) == Reference;
+  row({"k-way merge", format("%.2f", KWayMs), format("%.2fx", FoldMs / KWayMs)},
+      16);
+  Json.beginRow();
+  Json.setRow("section", std::string("engine"));
+  Json.setRow("ms", KWayMs);
 
   std::printf("\ncompaction: fanout 8, cold report before vs after\n\n");
   row({"shards", "flat ms", "compact ms", "report ms", "inputs", "runs"},
@@ -250,15 +233,11 @@ int main(int Argc, char **Argv) {
   std::printf("\nchecks:\n");
   bool Ok = true;
   Ok &= check(Identical,
-              "every engine and thread count produces byte-identical gmon "
-              "output");
-  if (!Smoke) {
-    Ok &= check(KWay1Ms < FoldMs,
+              "the k-way merge and the sequential fold produce "
+              "byte-identical gmon output");
+  if (!Smoke)
+    Ok &= check(KWayMs < FoldMs,
                 "the k-way merge beats the quadratic sequential fold");
-    Ok &= check(BestParallelMs <= KWay1Ms * 1.10,
-                "parallel workers do not lose to single-threaded k-way "
-                "(within 10% even on one core)");
-  }
   Ok &= check(CompactIdentical,
               "the compacted report is byte-identical to the flat merge at "
               "every store size");
@@ -268,8 +247,7 @@ int main(int Argc, char **Argv) {
   Ok &= check(WindowOneRun,
               "an aligned capture-time window merges 1 input, byte-identical "
               "to its flat merge");
-  Json.set("kway1_ms", KWay1Ms);
-  Json.set("best_parallel_ms", BestParallelMs);
+  Json.set("kway1_ms", KWayMs);
   Json.write();
   return Ok ? 0 : 1;
 }

@@ -76,10 +76,7 @@ void ServeServer::maybeScheduleCompaction() {
     CompactionStats Stats;
     bool Failed = false;
     while (!Stop.load(std::memory_order_relaxed)) {
-      // Sequential folds: a pool worker must not fan subtasks back onto
-      // the pool it runs on (they could deadlock behind connection-
-      // lifetime jobs), and the run bytes are identical either way.
-      auto Worked = Store.compactStep(/*Pool=*/nullptr, &Stats);
+      auto Worked = Store.compactStep(&Stats);
       if (!Worked) {
         telemetry::gauge("compaction.errors").add(1);
         EventLog::instance().emit(
@@ -344,11 +341,7 @@ Error ServeServer::handleQuery(Connection &Conn, const Frame &Request) {
   auto Img = Image::loadFromFile(Req->ImagePath);
   if (!Img)
     return Conn.writeError(Img.message());
-  // Sequential merge: a worker thread must not fan subtasks back onto the
-  // pool it runs on (the subtasks could deadlock behind other
-  // connection-lifetime jobs), and the merged bytes are identical either
-  // way.
-  auto Merged = Store.merge(Req->Members, /*Pool=*/nullptr);
+  auto Merged = Store.merge(Req->Members);
   if (!Merged)
     return Conn.writeError(Merged.message());
 

@@ -108,9 +108,8 @@ private:
   /// Enqueues one background compaction drain onto the pool when folds
   /// are pending and none is already running — called after every
   /// successful PUT_SHARD and once at start() to fold a store that grew
-  /// offline.  The drain runs compactStep (sequentially: a pool worker
-  /// must not fan subtasks back onto its own pool) until done, then
-  /// re-checks for pushes that arrived meanwhile.
+  /// offline.  The drain runs compactStep until done, then re-checks for
+  /// pushes that arrived meanwhile.
   void maybeScheduleCompaction();
 
   /// Answers one PUT_SHARD; sets \p Stored once the shard is in the

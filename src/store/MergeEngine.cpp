@@ -9,34 +9,12 @@
 #include "support/Format.h"
 #include "support/Telemetry.h"
 
-#include <algorithm>
 #include <cassert>
 #include <queue>
 
 using namespace gprof;
 
-void gprof::canonicalizeProfile(ProfileData &Data) {
-  std::sort(Data.Arcs.begin(), Data.Arcs.end(),
-            [](const ArcRecord &A, const ArcRecord &B) {
-              if (A.FromPc != B.FromPc)
-                return A.FromPc < B.FromPc;
-              return A.SelfPc < B.SelfPc;
-            });
-  // Coalesce duplicate (FromPc, SelfPc) keys in place.
-  size_t Out = 0;
-  for (size_t I = 0; I != Data.Arcs.size(); ++I) {
-    if (Out != 0 && Data.Arcs[Out - 1].FromPc == Data.Arcs[I].FromPc &&
-        Data.Arcs[Out - 1].SelfPc == Data.Arcs[I].SelfPc) {
-      Data.Arcs[Out - 1].Count =
-          saturatingAdd(Data.Arcs[Out - 1].Count, Data.Arcs[I].Count);
-    } else {
-      Data.Arcs[Out] = Data.Arcs[I];
-      ++Out;
-    }
-  }
-  Data.Arcs.resize(Out);
-  Data.invalidateArcIndex();
-}
+void gprof::canonicalizeProfile(ProfileData &Data) { Data.canonicalizeArcs(); }
 
 bool gprof::isCanonicalProfile(const ProfileData &Data) {
   for (size_t I = 1; I < Data.Arcs.size(); ++I) {
@@ -101,34 +79,28 @@ struct CursorGreater {
 };
 
 /// Merges canonical, mutually compatible shards in one k-way pass.
-ProfileData kWayMerge(const std::vector<const ProfileData *> &Shards) {
+ProfileData kWayMerge(const std::vector<ProfileData> &Shards) {
   assert(!Shards.empty() && "k-way merge of nothing");
   telemetry::Span MergeSpan("store.merge.kway");
   ProfileData Out;
-  Out.TicksPerSecond = Shards.front()->TicksPerSecond;
+  Out.TicksPerSecond = Shards.front().TicksPerSecond;
   Out.RunCount = 0;
   Out.ArcTableOverflowed = false;
 
   size_t TotalArcs = 0;
-  for (const ProfileData *S : Shards) {
-    assert(isCanonicalProfile(*S) && "k-way merge needs canonical shards");
-    Out.RunCount += S->RunCount;
-    Out.ArcTableOverflowed = Out.ArcTableOverflowed || S->ArcTableOverflowed;
-    TotalArcs += S->Arcs.size();
-    if (!S->Hist.empty()) {
-      if (Out.Hist.empty())
-        Out.Hist = Histogram(S->Hist.lowPc(), S->Hist.highPc(),
-                             S->Hist.bucketSize());
-      for (size_t I = 0; I != S->Hist.numBuckets(); ++I)
-        Out.Hist.setBucketCount(I, saturatingAdd(Out.Hist.bucketCount(I),
-                                                 S->Hist.bucketCount(I)));
-    }
+  for (const ProfileData &S : Shards) {
+    assert(isCanonicalProfile(S) && "k-way merge needs canonical shards");
+    Out.RunCount += S.RunCount;
+    Out.ArcTableOverflowed = Out.ArcTableOverflowed || S.ArcTableOverflowed;
+    TotalArcs += S.Arcs.size();
+    // Geometry was checked before the pass, so the sum cannot fail.
+    cantFail(Out.Hist.merge(S.Hist));
   }
 
   std::priority_queue<ArcCursor, std::vector<ArcCursor>, CursorGreater> Heap;
   for (size_t S = 0; S != Shards.size(); ++S)
-    if (!Shards[S]->Arcs.empty()) {
-      const ArcRecord &R = Shards[S]->Arcs.front();
+    if (!Shards[S].Arcs.empty()) {
+      const ArcRecord &R = Shards[S].Arcs.front();
       Heap.push({R.FromPc, R.SelfPc, S, 0});
     }
 
@@ -139,7 +111,7 @@ ProfileData kWayMerge(const std::vector<const ProfileData *> &Shards) {
     ArcCursor Top = Heap.top();
     Heap.pop();
     ++HeapPops;
-    const ArcRecord &R = Shards[Top.Shard]->Arcs[Top.Pos];
+    const ArcRecord &R = Shards[Top.Shard].Arcs[Top.Pos];
     if (!Out.Arcs.empty() && Out.Arcs.back().FromPc == R.FromPc &&
         Out.Arcs.back().SelfPc == R.SelfPc) {
       if (R.Count > UINT64_MAX - Out.Arcs.back().Count)
@@ -148,14 +120,14 @@ ProfileData kWayMerge(const std::vector<const ProfileData *> &Shards) {
     } else {
       Out.Arcs.push_back(R);
     }
-    if (Top.Pos + 1 != Shards[Top.Shard]->Arcs.size()) {
-      const ArcRecord &Next = Shards[Top.Shard]->Arcs[Top.Pos + 1];
+    if (Top.Pos + 1 != Shards[Top.Shard].Arcs.size()) {
+      const ArcRecord &Next = Shards[Top.Shard].Arcs[Top.Pos + 1];
       Heap.push({Next.FromPc, Next.SelfPc, Top.Shard, Top.Pos + 1});
     }
   }
-  // Gauges, not counters: the tree's leaf decomposition (and therefore
-  // how many pops and partial-aggregate saturations the intermediate
-  // passes add) depends on pool width.
+  // Gauges, not counters: a compacted run stands in for its members, so
+  // how many pops and saturations a report takes depends on when
+  // compaction last ran, not on the profile data alone.
   telemetry::gauge("store.merge.heap_pops").add(HeapPops);
   if (ArcSaturations != 0)
     telemetry::gauge("store.merge.arc_saturations").add(ArcSaturations);
@@ -165,26 +137,15 @@ ProfileData kWayMerge(const std::vector<const ProfileData *> &Shards) {
 } // namespace
 
 Expected<ProfileData>
-gprof::mergeProfiles(const std::vector<ProfileData> &Shards,
-                     ThreadPool *Pool) {
-  std::vector<const ProfileData *> Ptrs;
-  Ptrs.reserve(Shards.size());
-  for (const ProfileData &S : Shards)
-    Ptrs.push_back(&S);
-  return mergeProfiles(Ptrs, Pool);
-}
-
-Expected<ProfileData>
-gprof::mergeProfiles(const std::vector<const ProfileData *> &Ptrs,
-                     ThreadPool *Pool) {
-  if (Ptrs.empty())
+gprof::mergeProfiles(const std::vector<ProfileData> &Shards) {
+  if (Shards.empty())
     return Error::failure("no profiles to merge");
   telemetry::Span Phase("store.merge");
   {
     uint64_t InputArcs = 0;
-    for (const ProfileData *S : Ptrs)
-      InputArcs += S->Arcs.size();
-    telemetry::counter("store.merge.shards").add(Ptrs.size());
+    for (const ProfileData &S : Shards)
+      InputArcs += S.Arcs.size();
+    telemetry::counter("store.merge.shards").add(Shards.size());
     telemetry::counter("store.merge.input_arcs").add(InputArcs);
   }
   // Validate geometry against the first shard that actually has a
@@ -192,45 +153,15 @@ gprof::mergeProfiles(const std::vector<const ProfileData *> &Ptrs,
   // blindly comparing to shard 0 would let two incompatible sampled
   // shards slip past an unsampled shard 0.
   size_t Ref = 0;
-  while (Ref != Ptrs.size() && Ptrs[Ref]->Hist.empty())
+  while (Ref != Shards.size() && Shards[Ref].Hist.empty())
     ++Ref;
-  if (Ref == Ptrs.size())
+  if (Ref == Shards.size())
     Ref = 0;
-  for (size_t I = 0; I != Ptrs.size(); ++I)
+  for (size_t I = 0; I != Shards.size(); ++I)
     if (I != Ref)
-      if (Error E = checkMergeCompatible(*Ptrs[Ref], *Ptrs[I],
+      if (Error E = checkMergeCompatible(Shards[Ref], Shards[I],
                                          format("shard %zu", Ref),
                                          format("shard %zu", I)))
         return E;
-
-  size_t Chunks = Pool ? std::min<size_t>(Pool->size(), Ptrs.size()) : 1;
-  if (Chunks <= 1 || Ptrs.size() < 4)
-    return kWayMerge(Ptrs);
-
-  // Leaf level of the merge tree: one contiguous chunk per worker.  The
-  // chunking never changes the result — every combining operation is
-  // commutative and associative and the output order is canonical — so any
-  // worker count yields byte-identical data.
-  std::vector<std::future<ProfileData>> Futures;
-  Futures.reserve(Chunks);
-  size_t Begin = 0;
-  for (size_t C = 0; C != Chunks; ++C) {
-    size_t End = Begin + (Ptrs.size() - Begin) / (Chunks - C);
-    std::vector<const ProfileData *> Chunk(Ptrs.begin() + Begin,
-                                           Ptrs.begin() + End);
-    Futures.push_back(
-        Pool->async([Chunk = std::move(Chunk)] { return kWayMerge(Chunk); }));
-    Begin = End;
-  }
-
-  // Root of the tree: fold the partial aggregates on this thread.
-  std::vector<ProfileData> Partials;
-  Partials.reserve(Chunks);
-  for (std::future<ProfileData> &F : Futures)
-    Partials.push_back(F.get());
-  std::vector<const ProfileData *> PartialPtrs;
-  PartialPtrs.reserve(Partials.size());
-  for (const ProfileData &P : Partials)
-    PartialPtrs.push_back(&P);
-  return kWayMerge(PartialPtrs);
+  return kWayMerge(Shards);
 }

@@ -842,7 +842,7 @@ ProfileStore::membersInWindow(uint64_t SinceNs, uint64_t UntilNs) const {
 }
 
 Expected<ProfileStore::MergeResult>
-ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
+ProfileStore::merge(std::vector<Sha256Digest> Members) {
   static telemetry::DurationHistogram &Latency =
       telemetry::histogram("store.merge.latency");
   telemetry::ScopedDuration Timer(Latency);
@@ -974,7 +974,7 @@ ProfileStore::merge(std::vector<Sha256Digest> Members, ThreadPool *Pool) {
   telemetry::gauge("store.merge.runs_used").add(RunsUsed);
   telemetry::gauge("store.merge.loose_shards").add(Loose.size());
   telemetry::counter("store.merge.shards_loaded").add(Inputs.size());
-  auto Merged = mergeProfiles(Inputs, Pool);
+  auto Merged = mergeProfiles(Inputs);
   if (!Merged)
     return Merged.takeError();
   Result.Data = Merged.takeValue();
@@ -1068,8 +1068,7 @@ bool ProfileStore::compactionPending() const {
   return foldDue();
 }
 
-Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
-                                         CompactionStats *Stats) {
+Expected<bool> ProfileStore::compactStep(CompactionStats *Stats) {
   static telemetry::DurationHistogram &Latency =
       telemetry::histogram("store.compact.latency");
   telemetry::ScopedDuration Timer(Latency);
@@ -1107,7 +1106,7 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
       return Data.takeError();
     Inputs.push_back(Data.takeValue());
   }
-  auto Merged = mergeProfiles(Inputs, Pool);
+  auto Merged = mergeProfiles(Inputs);
   if (!Merged)
     return Merged.takeError();
   std::vector<uint8_t> Bytes = writeGmon(*Merged);
@@ -1177,10 +1176,10 @@ Expected<bool> ProfileStore::compactStep(ThreadPool *Pool,
   return true;
 }
 
-Expected<CompactionStats> ProfileStore::compact(ThreadPool *Pool) {
+Expected<CompactionStats> ProfileStore::compact() {
   CompactionStats Stats;
   for (;;) {
-    auto Worked = compactStep(Pool, &Stats);
+    auto Worked = compactStep(&Stats);
     if (!Worked)
       return Worked.takeError();
     if (!*Worked)

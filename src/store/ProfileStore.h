@@ -24,10 +24,10 @@
 /// matter how its arcs were ordered on disk.  Ingest validates
 /// compatibility — sampling rate, histogram geometry, and (when known) the
 /// identity of the profiled VM image — so a store never accumulates shards
-/// that cannot be summed.  Aggregation runs on the parallel k-way merge
-/// tree (store/MergeEngine.h) and is deterministic, which is what makes
-/// the aggregate cache sound: the cache key depends only on the member
-/// digest set, never on thread count or ingest order.
+/// that cannot be summed.  Aggregation is one k-way merge pass
+/// (store/MergeEngine.h) and is deterministic, which is what makes the
+/// aggregate cache sound: the cache key depends only on the member digest
+/// set, never on ingest order or on which runs stood in for members.
 ///
 /// Aggregation is *tiered* (log-structured merge): freshly ingested shards
 /// sit at level 0, and compaction folds the oldest Fanout of them into a
@@ -55,7 +55,6 @@
 #include "support/Error.h"
 #include "support/FileUtils.h"
 #include "support/Sha256.h"
-#include "support/ThreadPool.h"
 
 #include <functional>
 #include <memory>
@@ -244,10 +243,8 @@ public:
   /// member set substitute for their members, so a compacted store merges
   /// a handful of runs instead of every shard; a run whose bytes fail
   /// their digest falls back to its members (store.merge.run_fallbacks).
-  /// The bytes are identical to a flat merge either way.  \p Pool may be
-  /// null for a sequential merge — the bytes are identical either way.
-  Expected<MergeResult> merge(std::vector<Sha256Digest> Members,
-                              ThreadPool *Pool = nullptr);
+  /// The bytes are identical to a flat merge either way.
+  Expected<MergeResult> merge(std::vector<Sha256Digest> Members);
 
   /// Shards captured inside [SinceNs, UntilNs] (ns since epoch, inclusive;
   /// UntilNs = 0 means unbounded above), sorted by digest.  Feed the
@@ -267,11 +264,10 @@ public:
   /// leaves every committed artifact intact — at worst an orphan run file
   /// that gc() sweeps.  \p Stats, when given, accumulates what the fold
   /// accomplished.
-  Expected<bool> compactStep(ThreadPool *Pool = nullptr,
-                             CompactionStats *Stats = nullptr);
+  Expected<bool> compactStep(CompactionStats *Stats = nullptr);
 
   /// Runs compactStep until no fold remains.
-  Expected<CompactionStats> compact(ThreadPool *Pool = nullptr);
+  Expected<CompactionStats> compact();
 
   /// True if compactStep would commit a fold: two counts kept current by
   /// every put, fold, expiry and load, read under the ingest lock.  The

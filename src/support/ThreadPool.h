@@ -8,13 +8,11 @@
 /// A small fixed-size thread pool in the LLVM ThreadPool mold: jobs are
 /// queued, workers drain the queue, and async() hands back a std::future.
 /// Workers start on the first async(), so a pool that is built but never
-/// handed a job (a merge the aggregate cache answers, a fold too small to
-/// split) costs no thread.
-/// The profile store's parallel merge tree runs on it; consumers that need
-/// deterministic output must make their reduction order-independent (exact
-/// integer arithmetic + canonical final ordering) rather than rely on any
-/// scheduling property of the pool — workers pick jobs strictly FIFO but
-/// finish them in any order.
+/// handed a job costs no thread.
+/// The serve daemon runs on it: one job per admitted connection, plus the
+/// background compaction drain (serve/Server.h).  Workers pick jobs
+/// strictly FIFO but finish them in any order, so no consumer may rely on
+/// completion order.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -45,9 +43,6 @@ public:
 
   ThreadPool(const ThreadPool &) = delete;
   ThreadPool &operator=(const ThreadPool &) = delete;
-
-  /// Number of worker threads, whether or not they have started.
-  unsigned size() const { return Width; }
 
   /// Queues \p Fn and returns a future for its result.
   template <typename Fn>

@@ -7,8 +7,8 @@
 /// \file
 /// Command-line face of the profile store: `gprof-store put` ingests gmon
 /// shards into a content-addressed repository, `list` shows the index,
-/// `merge` aggregates any subset through the parallel k-way merge tree
-/// (caching the result by the member digest set), `report` feeds a merged
+/// `merge` aggregates any subset in one k-way merge pass (caching the
+/// result by the member digest set), `report` feeds a merged
 /// aggregate straight into the gprof analyzer and printers, `compact`
 /// folds shards into tiered runs so reports over thousands of shards
 /// merge a handful of partial aggregates (store/ProfileStore.h), and `gc`
@@ -73,18 +73,6 @@ Expected<Sha256Digest> imageIdForFile(const std::string &Path) {
   if (!Map)
     return Map.takeError();
   return Sha256::hash(Map->data(), Map->size());
-}
-
-/// Parses --jobs into a worker count (0 = hardware threads).
-bool parseJobs(OptionParser &Opts, unsigned &Jobs) {
-  Jobs = 0;
-  if (auto V = Opts.getValue("jobs")) {
-    unsigned long long N;
-    if (!parseUInt64(*V, N) || N > 1024)
-      return false;
-    Jobs = static_cast<unsigned>(N);
-  }
-  return true;
 }
 
 /// Declares the listing flags `report` and `query` share.
@@ -224,10 +212,8 @@ int cmdList(int Argc, const char *const *Argv) {
 
 int cmdMerge(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store merge",
-                    "aggregate shards with the parallel k-way merge tree");
+                    "aggregate shards with the k-way merge");
   Opts.setPositionalHelp("STORE [DIGEST-PREFIX ...]");
-  Opts.addOption("jobs", 'j', "N",
-                 "worker threads for the merge tree (0 = one per core)");
   Opts.addOption("output", 'o', "FILE",
                  "also write the merged gmon data to FILE");
   addStatsFlag(Opts);
@@ -239,9 +225,6 @@ int cmdMerge(int Argc, const char *const *Argv) {
   }
   if (Opts.positional().empty())
     return fail("expected a store path");
-  unsigned Jobs;
-  if (!parseJobs(Opts, Jobs))
-    return fail("invalid --jobs value");
 
   auto Store = ProfileStore::open(Opts.positional().front());
   if (!Store)
@@ -250,8 +233,7 @@ int cmdMerge(int Argc, const char *const *Argv) {
   if (!Members)
     return fail(Members.message());
 
-  ThreadPool Pool(Jobs);
-  auto Result = Store->merge(Members.takeValue(), &Pool);
+  auto Result = Store->merge(Members.takeValue());
   if (!Result)
     return fail(Result.message());
   if (auto OutPath = Opts.getValue("output"))
@@ -273,8 +255,6 @@ int cmdReport(int Argc, const char *const *Argv) {
   OptionParser Opts("gprof-store report",
                     "print gprof listings for a merged aggregate");
   Opts.setPositionalHelp("STORE image.tlx [DIGEST-PREFIX ...]");
-  Opts.addOption("jobs", 'j', "N",
-                 "worker threads for the merge tree (0 = one per core)");
   addReportFlags(Opts);
   Opts.addOption("since", 0, "NS",
                  "only shards captured at or after this time (nanoseconds "
@@ -291,9 +271,6 @@ int cmdReport(int Argc, const char *const *Argv) {
   }
   if (Opts.positional().size() < 2)
     return fail("expected a store path and an image path");
-  unsigned Jobs;
-  if (!parseJobs(Opts, Jobs))
-    return fail("invalid --jobs value");
   uint64_t SinceNs, UntilNs;
   bool HaveSince, HaveUntil;
   if (!parseU64Option(Opts, "since", SinceNs, HaveSince))
@@ -331,8 +308,7 @@ int cmdReport(int Argc, const char *const *Argv) {
       return fail("no shards captured in the requested time window");
   }
 
-  ThreadPool Pool(Jobs);
-  auto Result = Store->merge(Members.takeValue(), &Pool);
+  auto Result = Store->merge(Members.takeValue());
   if (!Result)
     return fail(Result.message());
   // Cache feedback goes to stderr so the listings on stdout stay
@@ -704,8 +680,6 @@ int cmdCompact(int Argc, const char *const *Argv) {
                     "fold loose shards and low-level runs into tiered "
                     "merge runs so reports touch O(log N) inputs");
   Opts.setPositionalHelp("STORE");
-  Opts.addOption("jobs", 'j', "N",
-                 "merge worker threads (default: hardware concurrency)");
   Opts.addOption("fanout", 0, "N",
                  "inputs folded per compaction step (default 8, min 2)");
   addStatsFlag(Opts);
@@ -717,9 +691,6 @@ int cmdCompact(int Argc, const char *const *Argv) {
   }
   if (Opts.positional().size() != 1)
     return fail("expected exactly one store path");
-  unsigned Jobs;
-  if (!parseJobs(Opts, Jobs))
-    return fail("invalid --jobs value");
   StoreOptions SO;
   if (!parseUnsigned(Opts, "fanout", 8, 1u << 20, SO.CompactionFanout) ||
       SO.CompactionFanout < 2)
@@ -728,8 +699,7 @@ int cmdCompact(int Argc, const char *const *Argv) {
   auto Store = ProfileStore::open(Opts.positional().front(), SO);
   if (!Store)
     return fail(Store.message());
-  ThreadPool Pool(Jobs);
-  auto Stats = Store->compact(&Pool);
+  auto Stats = Store->compact();
   if (!Stats)
     return fail(Stats.message());
   std::printf("compaction: %u step(s), folded %llu input(s)\n",

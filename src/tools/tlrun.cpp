@@ -145,7 +145,7 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  // The bound gprof-store puts on its --jobs worker counts.
+  // The bound `gprof-store serve` puts on its --jobs worker count.
   const unsigned ThreadCount =
       static_cast<unsigned>(ParseU64("threads", 1, 1024));
 

@@ -934,8 +934,8 @@ TEST_F(ServeTest, CliServePushQueryAndTlrunPush) {
 
   // Start the daemon as a real process, like an operator would.
   std::string Out;
-  int Rc = runCommand(format("%s serve %s --socket %s >/dev/null 2>&1 "
-                             "& echo $!",
+  int Rc = runCommand(format("%s serve %s --socket %s --jobs 2 "
+                             ">/dev/null 2>&1 & echo $!",
                              GPROF_STORE_PATH, StoreRoot.c_str(),
                              SocketPath.c_str()),
                       Out);

@@ -146,8 +146,7 @@ TEST_F(StoreCliTest, PutListMergeReportGc) {
   EXPECT_NE(Out.find("1 shard(s)"), std::string::npos);
 
   // merge: computes an aggregate, then serves it from the cache.
-  Rc = runCommand(format("%s merge %s -j 2", GPROF_STORE_PATH,
-                         StoreDir->c_str()),
+  Rc = runCommand(format("%s merge %s", GPROF_STORE_PATH, StoreDir->c_str()),
                   Out);
   EXPECT_EQ(Rc, 0) << Out;
   EXPECT_NE(Out.find("aggregate"), std::string::npos);
@@ -274,12 +273,10 @@ TEST_F(StoreCliTest, CompactAndWindowedReport) {
   std::filesystem::remove_all(StorePath);
 }
 
-TEST_F(StoreCliTest, ReportStartsMergeWorkersOnlyWhenItFolds) {
-  // The merge pool starts its workers with its first job.  A report whose
-  // members fold on the calling thread (fewer than four inputs) or come
-  // from the aggregate cache starts none; one that splits four inputs
-  // over --jobs 2 starts two.
-  std::string StorePath = tempPath("pool_store");
+TEST_F(StoreCliTest, ReportNamesCacheMissAndHit) {
+  // report says on stderr whether the aggregate cache answered it, and on
+  // a miss how many inputs it merged.
+  std::string StorePath = tempPath("cache_line_store");
   std::filesystem::remove_all(StorePath);
   Image Compiled = cantFail(Image::loadFromFile(*Img));
   std::vector<std::string> Shards = {*Gmon};
@@ -290,26 +287,20 @@ TEST_F(StoreCliTest, ReportStartsMergeWorkersOnlyWhenItFolds) {
     VM Machine(Compiled, VO);
     Machine.setHooks(&Mon);
     cantFail(Machine.run());
-    Shards.push_back(tempPath(format("pool_%llu.out",
+    Shards.push_back(tempPath(format("cache_line_%llu.out",
                                      static_cast<unsigned long long>(
                                          CyclesPerTick))));
     cantFail(writeGmonFile(Shards.back(), Mon.finish()));
   }
 
-  // Runs `report --stats` and returns its stderr; \p Spawned gets the
-  // workers_spawned gauge, 0 when the gauge was never registered.
-  auto Report = [&](const char *Flags, uint64_t &Spawned) {
+  // Runs `report` and returns its stderr.
+  auto Report = [&] {
     std::string Err;
-    int Rc = runCommandStderr(format("%s report --flat-only --stats %s %s %s",
-                                     GPROF_STORE_PATH, Flags,
-                                     StorePath.c_str(), Img->c_str()),
+    int Rc = runCommandStderr(format("%s report --flat-only %s %s",
+                                     GPROF_STORE_PATH, StorePath.c_str(),
+                                     Img->c_str()),
                               Err);
     EXPECT_EQ(Rc, 0) << Err;
-    const std::string Key = "{\"metric\": \"threadpool.workers_spawned\", "
-                            "\"kind\": \"gauge\", \"value\": ";
-    Spawned = 0;
-    if (size_t At = Err.find(Key); At != std::string::npos)
-      Spawned = std::stoull(Err.substr(At + Key.size()));
     return Err;
   };
 
@@ -319,27 +310,60 @@ TEST_F(StoreCliTest, ReportStartsMergeWorkersOnlyWhenItFolds) {
                              Shards[1].c_str()),
                       Out);
   ASSERT_EQ(Rc, 0) << Out;
-  uint64_t Spawned = 0;
-  Out = Report("", Spawned);
+  Out = Report();
   EXPECT_NE(Out.find("cache miss, merged 2 input(s)"), std::string::npos)
       << Out;
-  EXPECT_EQ(Spawned, 0u) << Out;
-  Out = Report("", Spawned);
+  Out = Report();
   EXPECT_NE(Out.find("[cache hit]"), std::string::npos) << Out;
-  EXPECT_EQ(Spawned, 0u) << Out;
 
   Rc = runCommand(format("%s put %s %s %s", GPROF_STORE_PATH,
                          StorePath.c_str(), Shards[2].c_str(),
                          Shards[3].c_str()),
                   Out);
   ASSERT_EQ(Rc, 0) << Out;
-  Out = Report("--jobs 2", Spawned);
+  Out = Report();
   EXPECT_NE(Out.find("cache miss, merged 4 input(s)"), std::string::npos)
       << Out;
-  EXPECT_EQ(Spawned, 2u) << Out;
 
   for (size_t I = 1; I != Shards.size(); ++I)
     std::remove(Shards[I].c_str());
+  std::filesystem::remove_all(StorePath);
+}
+
+TEST_F(StoreCliTest, OnlyServeTakesJobs) {
+  // The offline commands merge on the calling thread and have no --jobs;
+  // serve keeps it as its worker count.
+  std::string StorePath = tempPath("jobs_store");
+  std::filesystem::remove_all(StorePath);
+  std::string Out;
+  int Rc = runCommand(format("%s put %s %s", GPROF_STORE_PATH,
+                             StorePath.c_str(), Gmon->c_str()),
+                      Out);
+  ASSERT_EQ(Rc, 0) << Out;
+  for (const std::string &Cmd :
+       {format("merge %s", StorePath.c_str()),
+        format("report %s %s", StorePath.c_str(), Img->c_str()),
+        format("compact %s", StorePath.c_str())}) {
+    Rc = runCommand(format("%s %s --jobs 2", GPROF_STORE_PATH, Cmd.c_str()),
+                    Out);
+    EXPECT_NE(Rc, 0) << Cmd;
+    EXPECT_NE(Out.find("unknown option '--jobs'"), std::string::npos)
+        << Cmd << ": " << Out;
+  }
+
+  // serve still knows --jobs, and refuses 0 workers before it starts.
+  // (ServeTest.CliServePushQueryAndTlrunPush runs a daemon on --jobs 2.)
+  Rc = runCommand(format("%s serve %s --jobs 2", GPROF_STORE_PATH,
+                         StorePath.c_str()),
+                  Out);
+  EXPECT_NE(Rc, 0);
+  EXPECT_NE(Out.find("serve requires --socket PATH"), std::string::npos)
+      << Out;
+  Rc = runCommand(format("%s serve %s --socket %s --jobs 0", GPROF_STORE_PATH,
+                         StorePath.c_str(), tempPath("jobs.sock").c_str()),
+                  Out);
+  EXPECT_NE(Rc, 0);
+  EXPECT_NE(Out.find("invalid --jobs value"), std::string::npos) << Out;
   std::filesystem::remove_all(StorePath);
 }
 
